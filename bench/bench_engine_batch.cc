@@ -65,7 +65,7 @@ void RunThreadScaling(bool quick) {
   const auto reference = QueryService(seq_opts).EvaluateBatch(jobs, &seq_stats);
   bench::PrintRow({Fmt(1), Fmt(seq_stats.jobs), Fmt(seq_stats.wall_ms),
                    Fmt(seq_stats.total_eval_ms), Fmt(seq_stats.max_job_ms),
-                   Fmt(seq_stats.plan_cache_hits), "ref"});
+                   Fmt(seq_stats.plan_hits), "ref"});
 
   for (const int threads : quick ? std::vector<int>{4}
                                  : std::vector<int>{2, 4, 8}) {
@@ -81,7 +81,7 @@ void RunThreadScaling(bool quick) {
     g_all_identical &= identical;
     bench::PrintRow({Fmt(threads), Fmt(stats.jobs), Fmt(stats.wall_ms),
                      Fmt(stats.total_eval_ms), Fmt(stats.max_job_ms),
-                     Fmt(stats.plan_cache_hits), identical ? "yes" : "NO"});
+                     Fmt(stats.plan_hits), identical ? "yes" : "NO"});
   }
 
   int mix[3] = {0, 0, 0};

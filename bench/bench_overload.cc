@@ -122,7 +122,7 @@ void RunOverload(const Database& db, bool quick) {
       "\nOverload shedding (1 worker, max_queue=8): kExact degrades to\n"
       "kBounds under queue pressure, then the queue refuses outright.\n\n");
 
-  const ConjunctiveQuery q = ShardSoundStarCQ(2);
+  const ConjunctiveQuery q = StarCQ(2);
   const AnswerSet exact = EvaluateNaive(q, db);
 
   EvalOptions opts;

@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "eval/eval_stats.h"
-
 namespace cqa::bench {
 
 /// True if `--quick` appears on the command line: benches then run a
@@ -101,20 +99,6 @@ inline std::string Fmt(double v) {
 inline std::string Fmt(long long v) { return std::to_string(v); }
 inline std::string Fmt(int v) { return std::to_string(v); }
 inline std::string Fmt(size_t v) { return std::to_string(v); }
-
-/// One-line counter summary of an evaluation's EvalStats. key_allocs is
-/// listed last on purpose: the columnar probe core fills a reusable flat
-/// buffer, so current-path runs should report ~0 there (the legacy baseline
-/// in bench_columnar counts one per materialized probe key).
-inline std::string StatsSummary(const EvalStats& s) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "nodes=%lld probes=%lld hits=%lld builds=%lld reuses=%lld "
-                "key_allocs=%lld",
-                s.nodes, s.index_probes, s.index_hits, s.index_builds,
-                s.table_reuses, s.probe_key_allocs);
-  return buf;
-}
 
 }  // namespace cqa::bench
 

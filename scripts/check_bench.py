@@ -34,10 +34,11 @@ Only columns whose header cell mentions a time-like name (`ms`, `wall`,
 (counts, speedups, hit rates) are informational only, since "larger" is not
 worse for them.
 
-A CSV present only in the current run (a newly added bench, e.g. the first
-run carrying `sharding.csv`) is a *new baseline*, not a regression: it is
-reported as such and skipped. A CSV present only in the previous artifact
-(a removed or renamed bench) is likewise reported and skipped.
+A CSV present only in the current run (a newly added bench) is a *new
+baseline*, not a regression: it is reported as such and skipped. A CSV
+present only in the previous artifact (a removed or renamed bench, e.g.
+`columnar.csv` or `server.csv` once servebench took over their checks) is
+likewise reported and skipped.
 
 Usage:
     check_bench.py --baseline DIR --current DIR [--tolerance 0.25]

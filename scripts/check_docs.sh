@@ -38,10 +38,6 @@ if ! grep -q "^## Serving API" docs/ARCHITECTURE.md; then
   echo "STALE: docs/ARCHITECTURE.md lost its 'Serving API' section"
   fail=1
 fi
-if ! grep -q "^## Sharding" docs/ARCHITECTURE.md; then
-  echo "STALE: docs/ARCHITECTURE.md lost its 'Sharding' section"
-  fail=1
-fi
 if ! grep -q "^## Resource limits & cancellation" docs/ARCHITECTURE.md; then
   echo "STALE: docs/ARCHITECTURE.md lost its 'Resource limits & cancellation' section"
   fail=1
@@ -54,8 +50,8 @@ if ! grep -q "^## Network front end" docs/ARCHITECTURE.md; then
   echo "STALE: docs/ARCHITECTURE.md lost its 'Network front end' section"
   fail=1
 fi
-for term in QueryService AnswerMode EvalRequest ShardedDatabase \
-            IsShardSound num_shards EvalContext ResponseStatus \
+for term in QueryService AnswerMode EvalRequest GetOrPlan \
+            EvalContext ResponseStatus \
             max_answers deadline \
             Subscribe Publish Poll SubscriptionDelta \
             DeltaEvaluateQuery CatchUp index_delta_appends \

@@ -128,10 +128,54 @@ std::shared_ptr<const PlanDecision> EvalCache::LookupPlan(
   return plan_lru_.front().plan;
 }
 
+std::shared_ptr<const PlanDecision> EvalCache::GetOrPlan(
+    const std::vector<int>& key, const std::function<PlanDecision()>& plan_fn,
+    bool* hit) {
+  if (hit != nullptr) *hit = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      const auto it = plan_map_.find(key);
+      if (it != plan_map_.end()) {
+        ++stats_.plan_hits;
+        plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
+        if (hit != nullptr) *hit = true;
+        return plan_lru_.front().plan;
+      }
+      if (plans_in_flight_.insert(key).second) break;
+      plan_cv_.wait(lock);
+    }
+    ++stats_.plan_misses;
+  }
+  // This caller holds the claim on `key`: release it after storing the
+  // decision, or on a throw so that waiters retry instead of blocking
+  // forever.
+  const auto release = [&](std::shared_ptr<const PlanDecision> decision) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (decision != nullptr) StorePlanLocked(key, std::move(decision));
+    plans_in_flight_.erase(key);
+    plan_cv_.notify_all();
+  };
+  std::shared_ptr<const PlanDecision> plan;
+  try {
+    plan = std::make_shared<const PlanDecision>(plan_fn());
+  } catch (...) {
+    release(nullptr);
+    throw;
+  }
+  release(plan);
+  return plan;
+}
+
 void EvalCache::StorePlan(const std::vector<int>& key,
                           std::shared_ptr<const PlanDecision> plan) {
   CQA_CHECK(plan != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
+  StorePlanLocked(key, std::move(plan));
+}
+
+void EvalCache::StorePlanLocked(const std::vector<int>& key,
+                                std::shared_ptr<const PlanDecision> plan) {
   const auto it = plan_map_.find(key);
   if (it != plan_map_.end()) {
     plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);

@@ -11,13 +11,15 @@
 //    per QueryService::EvaluateBatch.
 //  - PlanDecisions, keyed by the planner-options-and-mode-qualified
 //    canonical query shape (PlanCacheKey): queries that differ only in
-//    variable numbering share one planning verdict forever, not just within
-//    one batch. This tier is also where approximation synthesis amortizes:
-//    an approximate-mode plan for a width-over-budget query carries the
-//    synthesized TW(width_budget) rewrites (PlanDecision::under/over), so
-//    the Bell-number candidate enumeration behind them runs once per query
-//    shape x mode for the cache's lifetime — every later batch evaluates
-//    the cached rewrites directly.
+//    variable numbering share one planning verdict for the cache's
+//    lifetime. This is the service's only plan tier, and where
+//    approximation synthesis amortizes: an approximate-mode plan for a
+//    width-over-budget query carries the synthesized TW(width_budget)
+//    rewrites (PlanDecision::under/over), so the candidate enumeration
+//    behind them runs once per query shape x mode — every later request
+//    evaluates the cached rewrites directly. GetOrPlan is single-flight:
+//    concurrent first-sight requests of one shape (batch workers, streaming
+//    workers, subscriptions) run the planner once between them.
 //
 // Eviction and invalidation
 // -------------------------
@@ -69,11 +71,14 @@
 #ifndef CQA_EVAL_CACHE_H_
 #define CQA_EVAL_CACHE_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "base/hash.h"
@@ -106,8 +111,8 @@ struct EvalCacheStats {
   long long index_rebuilds = 0;       ///< version-mismatch full rebuilds
   long long index_entries = 0;        ///< current number of cached views
   long long index_bytes = 0;          ///< current approximate footprint
-  long long plan_hits = 0;            ///< LookupPlan found the key
-  long long plan_misses = 0;          ///< LookupPlan missed
+  long long plan_hits = 0;            ///< LookupPlan/GetOrPlan served it
+  long long plan_misses = 0;          ///< LookupPlan missed; GetOrPlan planned
   long long plan_evictions = 0;       ///< plans dropped by max_plan_entries
   long long plan_entries = 0;         ///< current number of cached plans
 };
@@ -133,6 +138,19 @@ class EvalCache {
   /// pointer under the lock, never a deep copy), refreshing its LRU
   /// position; nullptr on miss. Keys come from PlanCacheKey (engine.h).
   std::shared_ptr<const PlanDecision> LookupPlan(const std::vector<int>& key);
+
+  /// Single-flight lookup-or-plan: the cached decision for `key`, or on a
+  /// miss the one `plan_fn` returns, stored under `key`. The first caller
+  /// to miss claims the key and runs `plan_fn` outside the cache lock
+  /// (synthesis can take hundreds of ms and must not block AcquireIndexed);
+  /// later callers of the same key wait for that decision and count as
+  /// hits, so plan_misses counts planner runs. If `plan_fn` throws, the
+  /// claim is released, waiters wake and retry (one of them plans next),
+  /// and the exception propagates to the claimant. `hit` (optional out)
+  /// reports whether the decision came from the cache.
+  std::shared_ptr<const PlanDecision> GetOrPlan(
+      const std::vector<int>& key,
+      const std::function<PlanDecision()>& plan_fn, bool* hit = nullptr);
 
   /// Inserts (or refreshes) `key -> plan`, evicting LRU entries beyond
   /// max_plan_entries. The cache shares ownership; the decision must not
@@ -177,6 +195,10 @@ class EvalCache {
   // holds (keeping at least the MRU entry). Caller holds mu_.
   void EnforceIndexBudgetLocked();
 
+  // StorePlan's body. Caller holds mu_.
+  void StorePlanLocked(const std::vector<int>& key,
+                       std::shared_ptr<const PlanDecision> plan);
+
   // db.Fingerprint() memoized against db.version(). Caller holds mu_.
   uint64_t FingerprintOfLocked(const Database& db);
 
@@ -200,6 +222,10 @@ class EvalCache {
   PlanList plan_lru_;
   std::unordered_map<std::vector<int>, PlanList::iterator, VectorHash>
       plan_map_;
+  // Keys a GetOrPlan caller is planning right now; plan_cv_ wakes their
+  // waiters when the claim is released.
+  std::unordered_set<std::vector<int>, VectorHash> plans_in_flight_;
+  std::condition_variable plan_cv_;
   mutable EvalCacheStats stats_;
 };
 

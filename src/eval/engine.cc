@@ -4,7 +4,6 @@
 
 #include "base/check.h"
 #include "core/approximator.h"
-#include "data/shard.h"
 #include "core/overapprox.h"
 #include "core/query_class.h"
 #include "cq/properties.h"
@@ -108,67 +107,7 @@ bool SynthesizeRewrites(const ConjunctiveQuery& q, const PlannerOptions& opts,
   return true;
 }
 
-// Fills d->shard_sound / d->shard_reason for a finished decision. Exact
-// plans gate on the query itself; approximate plans inherit the gate from
-// their rewrites (the sharded path evaluates each rewrite as a per-shard
-// union, so every rewrite must be shard-sound on its own).
-void RecordShardSoundness(const ConjunctiveQuery& q, PlanDecision* d) {
-  if (!d->approximate) {
-    d->shard_sound = IsShardSound(q, &d->shard_reason);
-    return;
-  }
-  for (const std::vector<ApproxSubPlan>* side : {&d->under, &d->over}) {
-    for (const ApproxSubPlan& sub : *side) {
-      std::string why;
-      if (!IsShardSound(sub.query, &why)) {
-        d->shard_sound = false;
-        d->shard_reason = "rewrite not shard-sound: " + why;
-        return;
-      }
-    }
-  }
-  d->shard_sound = true;
-  d->shard_reason = "every synthesized rewrite is shard-sound";
-}
-
 }  // namespace
-
-bool IsShardSound(const ConjunctiveQuery& q, std::string* reason) {
-  const auto say = [&](const char* why) {
-    if (reason != nullptr) *reason = why;
-  };
-  if (q.atoms().size() == 1) {
-    say("single atom: each answer is witnessed by one fact in one shard");
-    return true;
-  }
-  int key_var = -1;
-  bool saw_positive_arity = false;
-  for (const Atom& atom : q.atoms()) {
-    if (atom.vars.empty()) {
-      // Nullary facts are broadcast to every shard (data/shard.h), so a
-      // nullary atom is locally satisfiable wherever the rest of the
-      // witness lands: exempt from the co-partitioning requirement.
-      continue;
-    }
-    saw_positive_arity = true;
-    const int v = atom.vars[kShardKeyColumn];
-    if (key_var < 0) {
-      key_var = v;
-    } else if (v != key_var) {
-      say("atoms disagree on the partition-column variable: a witness may "
-          "straddle shards");
-      return false;
-    }
-  }
-  if (!saw_positive_arity) {
-    say("all atoms nullary: broadcast replication makes every shard "
-        "self-sufficient");
-    return true;
-  }
-  say("all positive-arity atoms share one partition-column variable (nullary "
-      "atoms are broadcast): every witness lands in a single shard");
-  return true;
-}
 
 const char* EngineKindName(EngineKind kind) {
   switch (kind) {
@@ -209,12 +148,8 @@ std::unique_ptr<Engine> MakeEngine(EngineKind kind) {
   return nullptr;
 }
 
-namespace {
-
-// The engine/rewrite choice of PlanQuery; shard soundness is stamped on the
-// finished decision by the caller (one place, every path).
-PlanDecision PlanQueryCore(const ConjunctiveQuery& q,
-                           const PlannerOptions& opts, AnswerMode mode) {
+PlanDecision PlanQuery(const ConjunctiveQuery& q, const PlannerOptions& opts,
+                       AnswerMode mode) {
   PlanDecision d;
   d.mode = mode;
   d.acyclic = IsAcyclicQuery(q);
@@ -266,15 +201,6 @@ PlanDecision PlanQueryCore(const ConjunctiveQuery& q,
              std::to_string(d.over.size()) + " over TW(" +
              std::to_string(opts.width_budget >= 1 ? opts.width_budget : 1) +
              ") rewrites";
-  return d;
-}
-
-}  // namespace
-
-PlanDecision PlanQuery(const ConjunctiveQuery& q, const PlannerOptions& opts,
-                       AnswerMode mode) {
-  PlanDecision d = PlanQueryCore(q, opts, mode);
-  RecordShardSoundness(q, &d);
   return d;
 }
 

@@ -2,8 +2,7 @@
 // Yannakakis for acyclic CQs, bounded-treewidth DP) behind a uniform Engine
 // interface, plus the approximation-aware planner. This header is the
 // *algorithm* vocabulary; the *serving* vocabulary (EvalRequest/EvalResponse,
-// QueryService, batching, streaming, sharded fan-out) lives in
-// eval/service.h.
+// QueryService, batching, streaming) lives in eval/service.h.
 //
 // Every engine has two matching modes: scan (the paper-faithful baseline)
 // and indexed (RelationIndex probes via a shared IndexedDatabase view).
@@ -178,43 +177,7 @@ struct PlanDecision {
   /// answers). Nonempty iff `approximate` and the mode needs an over side.
   std::vector<ApproxSubPlan> over;
   std::string reason;  ///< one-line human-readable justification
-  /// True when evaluating this plan shard-by-shard and unioning is sound
-  /// (IsShardSound below). For approximate plans the gate is inherited by
-  /// the rewrites: every synthesized sub-query must itself be shard-sound,
-  /// because the sharded path evaluates each rewrite as a per-shard union
-  /// before combining sides. Shape-determined, so cached plans carry it.
-  bool shard_sound = false;
-  /// Why sharded evaluation applies / must fall back (always set by the
-  /// planner; the serving layer surfaces it when a sharded request degrades
-  /// to the unsharded path).
-  std::string shard_reason;
 };
-
-/// The shard-union soundness predicate of the sharded evaluation subsystem
-/// (partition scheme: data/shard.h — facts routed by the hash of their
-/// first column). True when Q(D) equals the union of Q over the shards of
-/// *every* database D, i.e. when per-shard evaluation loses no answers:
-///
-///   - ∪_k Q(D_k) ⊆ Q(D) always (shards are sub-databases; CQs are
-///     monotone), so sharding can never invent answers — the question is
-///     only whether a witness can straddle shards.
-///   - Single-atom queries: every answer is witnessed by one fact, and one
-///     fact lives in exactly one shard. Always sound (this is the
-///     full-scan-naive base case: the scan just runs shard by shard).
-///   - Multi-atom queries where every atom puts one *common* variable x in
-///     the key column (position kShardKeyColumn): a homomorphism h maps
-///     every atom to a fact whose key column is h(x), and facts with equal
-///     key values are routed to the same shard — so h lands entirely inside
-///     shard(h(x)). Sound: the atoms are co-partitioned on the join
-///     attribute.
-///   - Everything else is conservatively rejected. E.g. Q() :- E(x,y),
-///     E(y,z): a two-edge path may use facts from two shards (keyed by x
-///     resp. y), which no single per-shard evaluation sees.
-///
-/// `reason` (optional out) receives a one-line justification either way.
-/// Purely structural — O(atoms) — and variable-renaming invariant, so the
-/// verdict is safe to cache per canonical query shape.
-bool IsShardSound(const ConjunctiveQuery& q, std::string* reason = nullptr);
 
 /// Picks an engine from the structure of `q` (paper, Sections 4 and 6):
 /// acyclic -> Yannakakis; else width bound <= budget -> treewidth DP; else
@@ -232,14 +195,14 @@ PlanDecision PlanQuery(const ConjunctiveQuery& q,
 std::unique_ptr<Engine> PlanEngine(const ConjunctiveQuery& q,
                                    const PlannerOptions& opts = {});
 
-/// The canonical shape key the plan caches use: atoms in query order
+/// The canonical shape key the plan cache uses: atoms in query order
 /// with variables renamed by first occurrence, then the renamed free tuple.
 /// Queries that differ only in variable numbering share a key (planning
 /// depends on structure only); atom order is preserved, so it is a cheap
 /// shape key, not a full isomorphism canonical form.
 std::vector<int> CanonicalQueryKey(const ConjunctiveQuery& q);
 
-/// The key plan caches use: CanonicalQueryKey qualified by the planner
+/// The key the plan cache uses: CanonicalQueryKey qualified by the planner
 /// knobs and the answer mode that influenced the decision, so one cache can
 /// serve batches running with different PlannerOptions and modes without
 /// ever crossing their plans.
@@ -249,9 +212,8 @@ std::vector<int> PlanCacheKey(const ConjunctiveQuery& q,
 
 /// Where a request's plan came from.
 enum class PlanSource {
-  kPlanned,      ///< the planner ran for this request
-  kBatchCache,   ///< reused a decision made earlier in the same batch
-  kSharedCache,  ///< reused a decision from the cross-batch EvalCache
+  kPlanned,  ///< the planner ran for this request
+  kCached,   ///< the EvalCache plan tier served it (EvalCache::GetOrPlan)
 };
 
 }  // namespace cqa

@@ -2,11 +2,10 @@
 // evaluation path. One context is created per serving request (by
 // QueryService from EvalRequest/EvalOptions limits, or directly by a caller
 // driving an engine) and threaded by pointer through the engines'
-// backtracking/probe loops and the sharded fan-out. Engines poll
-// Interrupted() at every search node and RecordAnswer() at every answer
-// materialization; the first tripped limit is sticky and every later poll —
-// on any thread — returns true immediately, so a whole sharded fan-out winds
-// down together.
+// backtracking/probe loops. Engines poll Interrupted() at every search node
+// and RecordAnswer() at every answer materialization; the first tripped limit
+// is sticky and every later poll — on any thread — returns true immediately,
+// so every rewrite of an approximate plan winds down together.
 //
 // Partial-answer soundness contract
 // ---------------------------------
@@ -19,10 +18,10 @@
 // EvalResponse::status and AnswerBounds::over_valid (eval/service.h) and
 // never labels an interrupted result exact.
 //
-// Thread-safety: one EvalContext may be polled concurrently from every
-// worker of a sharded fan-out; all mutable state is atomic and the node /
-// answer budgets are *global across the request* (approximate under
-// concurrency — trips may overshoot by one check interval per thread).
+// Thread-safety: one EvalContext may be polled concurrently from several
+// threads; all mutable state is atomic and the node / answer budgets are
+// *global across the request* (approximate under concurrency — trips may
+// overshoot by one check interval per thread).
 // The clock is sampled every kClockCheckInterval polls (plus the very first
 // poll, so an already-expired deadline returns before any search work).
 
@@ -66,12 +65,11 @@ struct EvalLimits {
   /// Wall-clock deadline, milliseconds from the moment the request is
   /// admitted (Submit time for streaming requests: queueing counts).
   double deadline_ms = 0.0;
-  /// Search-node budget across the whole request (all rewrites and shards).
+  /// Search-node budget across the whole request (all rewrites).
   long long max_nodes = 0;
   /// Answer-materialization budget: evaluation stops once this many answer
   /// tuples have been inserted (across the whole request), so AnswerSet
-  /// never materializes an unbounded result. The budget is approximate
-  /// under sharded fan-out (per-shard inserts count before the union).
+  /// never materializes an unbounded result.
   long long max_answers = 0;
 
   bool any() const {

@@ -14,17 +14,6 @@ struct EvalStats {
   long long index_hits = 0;    ///< probes that found a nonempty bucket
   long long index_builds = 0;  ///< index/projection builds this run caused
   long long table_reuses = 0;  ///< cached projections/columns reused
-  /// Probe keys materialized as heap tuples. The columnar probe core fills
-  /// a reusable flat buffer instead, so indexed runs report ~0 here; the
-  /// counter exists so the allocation win is observable (bench_columnar's
-  /// legacy baseline counts one per probe), not assumed.
-  long long probe_key_allocs = 0;
-  /// Per-shard sub-evaluations this run fanned out (eval/shard_eval.h);
-  /// 0 on unsharded runs. The other counters then hold the *per-shard
-  /// totals*: each shard's probes/nodes are summed in, so e.g.
-  /// index_probes is the work across all shards, comparable to an
-  /// unsharded run's.
-  long long shard_evals = 0;
   /// Incremental-maintenance ticks (StandingQueryState::Apply calls) and
   /// delta facts pushed through them (eval/delta_eval.h); 0 on full runs.
   long long delta_ticks = 0;
@@ -37,8 +26,6 @@ struct EvalStats {
     index_hits += other.index_hits;
     index_builds += other.index_builds;
     table_reuses += other.table_reuses;
-    probe_key_allocs += other.probe_key_allocs;
-    shard_evals += other.shard_evals;
     delta_ticks += other.delta_ticks;
     delta_facts += other.delta_facts;
   }

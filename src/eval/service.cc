@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "base/check.h"
-#include "base/hash.h"
 #include "data/index.h"
-#include "data/shard.h"
 #include "eval/cache.h"
 #include "eval/delta_eval.h"
-#include "eval/shard_eval.h"
 
 namespace cqa {
 namespace {
@@ -43,82 +38,19 @@ struct EngineSet {
   std::unique_ptr<Engine> engines[3];
 };
 
-// The per-batch plan cache (intra-batch tier). Decisions are stored by
-// shared pointer: approximate decisions carry whole synthesized rewrites,
-// so the lock only ever guards pointer copies — the deep copy into a
-// response happens outside it. Planning is coalesced per key: the first
-// worker to miss claims the key (in_flight) and the others wait on cv
-// instead of duplicating the work — approximate-mode planning runs the
-// Bell-number rewrite synthesis, exactly the cost a cold batch of
-// same-shape requests would otherwise multiply by the thread count.
-// (Streaming submissions have no batch tier; after the first completion
-// the shared EvalCache covers them.)
-struct BatchPlanCache {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::unordered_map<std::vector<int>, std::shared_ptr<const PlanDecision>,
-                     VectorHash>
-      map;
-  std::unordered_set<std::vector<int>, VectorHash> in_flight;
-};
+// A private EvalCache whose views follow `engine`'s index knobs: the
+// call-local cache of EvaluateBatch, and the streaming cache when
+// EvalOptions::cache is unset.
+std::shared_ptr<EvalCache> MakePrivateCache(const EngineOptions& engine) {
+  EvalCacheOptions cache_options;
+  cache_options.index = engine.ToIndexOptions();
+  return std::make_shared<EvalCache>(cache_options);
+}
 
-// Releases a claimed in-flight key — publishing the decision when planning
-// succeeded, but also on an exception (e.g. bad_alloc inside rewrite
-// synthesis), so same-shape waiters wake and retry instead of blocking on
-// the cv forever.
-class PlanClaimGuard {
- public:
-  PlanClaimGuard(BatchPlanCache* cache, const std::vector<int>& key)
-      : cache_(cache), key_(key) {}
-  PlanClaimGuard(const PlanClaimGuard&) = delete;
-  PlanClaimGuard& operator=(const PlanClaimGuard&) = delete;
-
-  void set_decision(std::shared_ptr<const PlanDecision> decision) {
-    decision_ = std::move(decision);
-  }
-
-  ~PlanClaimGuard() {
-    if (cache_ == nullptr) return;
-    std::lock_guard<std::mutex> lock(cache_->mu);
-    if (decision_ != nullptr) cache_->map.emplace(key_, std::move(decision_));
-    cache_->in_flight.erase(key_);
-    cache_->cv.notify_all();
-  }
-
- private:
-  BatchPlanCache* cache_;
-  const std::vector<int>& key_;
-  std::shared_ptr<const PlanDecision> decision_;
-};
-
-// Everything one request needs to evaluate shard-by-shard: the partition
-// (shared ownership keeps it alive for the whole job even if the registry
-// supersedes it meanwhile), the per-shard index views (empty = scan), and
-// the fan-out width ShardedEvaluate may use. Null context = sharding off.
-struct ShardContext {
-  std::shared_ptr<const ShardedDatabase> shards;
-  ShardViews views;
-  int parallelism = 1;
-};
-
-// How ExecuteRequest reaches the sharded path: a lazy provider, invoked
-// only once a plan actually passed the shard gate, so databases that only
-// ever see shard-unsound plans are never partitioned and never grow
-// per-shard views. Null = sharding off.
-using ShardContextProvider = std::function<const ShardContext*()>;
-
-// `shard_ctx` non-null routes the sub-evaluation through the per-shard
-// union; the caller only passes it for shard-sound plans.
 AnswerSet EvaluateSubPlan(const ApproxSubPlan& sub, const EngineSet& engines,
-                          const ShardContext* shard_ctx,
                           const IndexedDatabase* idb, const Database& db,
                           EvalStats* stats, const EvalContext* ctx) {
   const Engine& engine = engines.For(sub.kind);
-  if (shard_ctx != nullptr) {
-    return ShardedEvaluate(sub.query, engine, *shard_ctx->shards,
-                           shard_ctx->views, shard_ctx->parallelism, stats,
-                           ctx);
-  }
   return idb != nullptr ? engine.Evaluate(sub.query, *idb, stats, ctx)
                         : engine.Evaluate(sub.query, db, stats, ctx);
 }
@@ -129,15 +61,13 @@ AnswerSet EvaluateSubPlan(const ApproxSubPlan& sub, const EngineSet& engines,
 // is: the under side stays sound under every interruption.
 AnswerSet UnionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
                           const EngineSet& engines,
-                          const ShardContext* shard_ctx,
                           const IndexedDatabase* idb, const Database& db,
                           int arity, EvalStats* stats,
                           const EvalContext* ctx) {
   AnswerSet result(arity);
   for (const ApproxSubPlan& sub : subs) {
     if (ctx != nullptr && !ctx->ok()) break;
-    const AnswerSet part =
-        EvaluateSubPlan(sub, engines, shard_ctx, idb, db, stats, ctx);
+    const AnswerSet part = EvaluateSubPlan(sub, engines, idb, db, stats, ctx);
     for (const Tuple& t : part.tuples()) result.Insert(t);
   }
   return result;
@@ -150,7 +80,6 @@ AnswerSet UnionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
 // caller marks the over side invalid whenever ctx tripped.
 AnswerSet IntersectionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
                                  const EngineSet& engines,
-                                 const ShardContext* shard_ctx,
                                  const IndexedDatabase* idb, const Database& db,
                                  int arity, EvalStats* stats,
                                  const EvalContext* ctx) {
@@ -158,8 +87,7 @@ AnswerSet IntersectionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
   parts.reserve(subs.size());
   for (const ApproxSubPlan& sub : subs) {
     if (ctx != nullptr && !ctx->ok()) break;
-    parts.push_back(
-        EvaluateSubPlan(sub, engines, shard_ctx, idb, db, stats, ctx));
+    parts.push_back(EvaluateSubPlan(sub, engines, idb, db, stats, ctx));
   }
   AnswerSet result(arity);
   if (parts.empty() || parts.size() != subs.size()) return result;
@@ -173,19 +101,14 @@ AnswerSet IntersectionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
   return result;
 }
 
-// Plans and evaluates one request into `out`. Plan lookups go per-batch
-// cache first (intra-batch reuse), then the shared EvalCache (cross-batch
-// hit), then the planner; either cache pointer may be null. `idb` null
-// means the scan path; `shard_ctx` non-null offers the sharded path, taken
-// exactly when the plan is shard-sound. Approximate plans are answered by
-// their rewrites (union for the under side, intersection for the over
-// side), each rewrite itself sharded when the gate passed (the planner only
-// marks an approximate plan shard-sound when every rewrite is).
+// Plans and evaluates one request into `out`. Plans come from `cache`'s
+// single-flight plan tier; `idb` null means the scan path. Approximate
+// plans are answered by their rewrites (union for the under side,
+// intersection for the over side).
 void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
                     const EngineSet& engines, const IndexedDatabase* idb,
-                    BatchPlanCache* batch_cache, EvalCache* shared_cache,
-                    const ShardContextProvider* acquire_shards,
-                    const EvalContext* ctx, EvalResponse* out) {
+                    EvalCache& cache, const EvalContext* ctx,
+                    EvalResponse* out) {
   out->mode = request.mode;
   const int out_arity = static_cast<int>(request.query.free_variables().size());
   // A request that arrives already stopped (expired deadline — possibly
@@ -210,77 +133,31 @@ void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
   const auto plan_start = std::chrono::steady_clock::now();
   // Forcing an engine is an exact-mode affair: it bypasses the planner and
   // with it the approximation rule, so approximate-mode requests always go
-  // through planning. The shard gate still applies (it is a property of the
-  // query shape, not of the engine choice).
+  // through planning.
   if (request.mode == AnswerMode::kExact && options.forced_engine.has_value() &&
       engines.For(*options.forced_engine).Supports(request.query)) {
     out->plan.kind = *options.forced_engine;
     out->plan.reason = "forced by EvalOptions";
-    out->plan.shard_sound =
-        IsShardSound(request.query, &out->plan.shard_reason);
   } else {
-    const std::vector<int> key =
-        PlanCacheKey(request.query, options.planner, request.mode);
-    std::shared_ptr<const PlanDecision> cached;
-    if (batch_cache != nullptr) {
-      std::unique_lock<std::mutex> lock(batch_cache->mu);
-      for (;;) {
-        const auto it = batch_cache->map.find(key);
-        if (it != batch_cache->map.end()) {
-          cached = it->second;
-          break;
-        }
-        // First worker to miss claims the key and plans; later workers of
-        // the same shape wait for its decision instead of repeating the
-        // (possibly synthesis-heavy) planning.
-        if (batch_cache->in_flight.insert(key).second) break;
-        batch_cache->cv.wait(lock);
-      }
-    }
-    if (cached != nullptr) {
-      out->plan_source = PlanSource::kBatchCache;
-      out->plan = *cached;  // deep copy outside every lock
-    } else {
-      PlanClaimGuard claim(batch_cache, key);
-      if (shared_cache != nullptr &&
-          (cached = shared_cache->LookupPlan(key)) != nullptr) {
-        out->plan_source = PlanSource::kSharedCache;
-        out->plan = *cached;
-      } else {
-        out->plan = PlanQuery(request.query, options.planner, request.mode);
-        out->plan_source = PlanSource::kPlanned;
-        cached = std::make_shared<const PlanDecision>(out->plan);
-        if (shared_cache != nullptr) shared_cache->StorePlan(key, cached);
-      }
-      claim.set_decision(cached);
-    }
+    bool hit = false;
+    const std::shared_ptr<const PlanDecision> plan = cache.GetOrPlan(
+        PlanCacheKey(request.query, options.planner, request.mode),
+        [&] { return PlanQuery(request.query, options.planner, request.mode); },
+        &hit);
+    out->plan = *plan;  // deep copy outside every lock
+    out->plan_source = hit ? PlanSource::kCached : PlanSource::kPlanned;
   }
   out->engine = out->plan.kind;
   out->plan_ms = MsSince(plan_start);
 
   const auto eval_start = std::chrono::steady_clock::now();
   const Database& db = *request.db;
-  // The shard gate: sharding was requested AND the plan passed the
-  // union-soundness algebra — only then is the partition (lazily) acquired.
-  // Unsound plans run the unsharded path below unchanged (the fallback the
-  // planner's shard_reason explains).
-  const ShardContext* shard =
-      acquire_shards != nullptr && out->plan.shard_sound ? (*acquire_shards)()
-                                                         : nullptr;
-  out->sharded = shard != nullptr;
   if (!out->plan.approximate) {
     // Exact evaluation serves every mode; in kBounds the sandwich collapses.
     const Engine& engine = engines.For(out->engine);
-    if (shard != nullptr) {
-      out->answers = ShardedEvaluate(request.query, engine, *shard->shards,
-                                     shard->views, shard->parallelism,
-                                     &out->eval, ctx);
-    } else {
-      out->answers =
-          idb != nullptr
-              ? engine.Evaluate(request.query, *idb, &out->eval, ctx)
-              : engine.Evaluate(request.query, db, &out->eval, ctx);
-    }
+    out->answers = idb != nullptr
+                       ? engine.Evaluate(request.query, *idb, &out->eval, ctx)
+                       : engine.Evaluate(request.query, db, &out->eval, ctx);
     out->exact = true;
     if (request.mode == AnswerMode::kBounds) {
       AnswerBounds bounds;
@@ -293,23 +170,23 @@ void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
     out->exact = false;
     switch (request.mode) {
       case AnswerMode::kUnderApproximate:
-        out->answers = UnionOfSubPlans(out->plan.under, engines, shard, idb,
-                                       db, arity, &out->eval, ctx);
+        out->answers = UnionOfSubPlans(out->plan.under, engines, idb, db,
+                                       arity, &out->eval, ctx);
         break;
       case AnswerMode::kOverApproximate:
-        out->answers = IntersectionOfSubPlans(out->plan.over, engines, shard,
-                                              idb, db, arity, &out->eval, ctx);
+        out->answers = IntersectionOfSubPlans(out->plan.over, engines, idb,
+                                              db, arity, &out->eval, ctx);
         break;
       case AnswerMode::kBounds: {
         AnswerBounds bounds;
-        bounds.under = UnionOfSubPlans(out->plan.under, engines, shard, idb,
-                                       db, arity, &out->eval, ctx);
+        bounds.under = UnionOfSubPlans(out->plan.under, engines, idb, db,
+                                       arity, &out->eval, ctx);
         // The over side is only worth computing while the request is still
         // live: an interrupted over side is invalid anyway (see below).
         bounds.over =
             ctx == nullptr || ctx->ok()
-                ? IntersectionOfSubPlans(out->plan.over, engines, shard, idb,
-                                         db, arity, &out->eval, ctx)
+                ? IntersectionOfSubPlans(out->plan.over, engines, idb, db,
+                                         arity, &out->eval, ctx)
                 : AnswerSet(arity);
         out->answers = bounds.under;  // the sound (certain) reading
         out->bounds = std::move(bounds);
@@ -333,162 +210,13 @@ void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
 
 }  // namespace
 
-QueryService::QueryService(EvalOptions options) : options_(std::move(options)) {}
+QueryService::QueryService(EvalOptions options)
+    : options_(std::move(options)),
+      serving_cache_(options_.cache != nullptr
+                         ? options_.cache
+                         : MakePrivateCache(options_.engine)) {}
 
-QueryService::~QueryService() {
-  Shutdown();
-  // The shard partitions die with the service: unregister their views from
-  // any cache a caller may keep alive past us, so a later content-equal
-  // acquisition can never probe freed shard storage. (Per the cache
-  // contract, jobs of *other* services holding such views must have
-  // finished before a sharded service is destroyed.)
-  const std::vector<EvalCache*> caches = ServingCaches();
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  for (const ShardPartition& partition : shard_partitions_) {
-    UnregisterShardViews(partition, caches);
-  }
-}
-
-void QueryService::UnregisterShardViews(const ShardPartition& partition,
-                                        const std::vector<EvalCache*>& caches) {
-  for (EvalCache* cache : caches) {
-    for (int k = 0; k < partition.shards->num_shards(); ++k) {
-      cache->Invalidate(partition.shards->shard(k));
-    }
-  }
-}
-
-void QueryService::InvalidateShards(const Database& db) {
-  const std::vector<EvalCache*> caches = ServingCaches();
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  for (ShardPartition& p : shard_partitions_) {
-    if (!p.live || p.source != &db) continue;
-    p.live = false;
-    UnregisterShardViews(p, caches);
-  }
-}
-
-std::vector<EvalCache*> QueryService::ServingCaches() const {
-  std::vector<EvalCache*> caches;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.cache != nullptr) caches.push_back(options_.cache.get());
-  if (own_cache_ != nullptr) caches.push_back(own_cache_.get());
-  return caches;
-}
-
-std::shared_ptr<const ShardedDatabase> QueryService::AcquireShards(
-    const Database& db) const {
-  const int num_shards = std::max(options_.num_shards, 1);
-  const long long num_facts = db.NumFacts();
-  const int num_elements = db.num_elements();
-  // Fast path: the same database object at the same version was partitioned
-  // before. Like the EvalCache fingerprint memo, this is an identity memo:
-  // the fact/element guards *narrow* the address-reuse hole (a freed
-  // database whose address is reused by one with equal version and counts
-  // would still match), they do not close it — callers destroying a
-  // database this service has served must call InvalidateShards first (the
-  // contract in the header), which kills the entry the memo could hit.
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    for (const ShardPartition& p : shard_partitions_) {
-      if (p.live && p.source == &db && p.source_version == db.version() &&
-          p.num_facts == num_facts && p.num_elements == num_elements) {
-        return p.shards;
-      }
-    }
-  }
-
-  // Slow path: O(facts) fingerprint, and only on a true content miss the
-  // O(facts) partition build — both outside the lock, so concurrent
-  // batches on other databases never stall behind them. Caches are
-  // collected up front to keep the lock order one-way (shard_mu_ is never
-  // held while taking mu_).
-  const std::vector<EvalCache*> caches = ServingCaches();
-  const uint64_t fingerprint = db.Fingerprint();
-
-  // Under shard_mu_: retire partitions a mutation of `db` superseded (dead
-  // but retained — in-flight jobs elsewhere may still probe views built
-  // from them; see the header), then look for a live content match. On a
-  // match, register an identity alias for `db` unless one exists, so a
-  // content-equal twin object pays the fingerprint once and takes the
-  // O(1) fast path afterwards.
-  const auto find_or_alias_locked =
-      [&]() -> std::shared_ptr<const ShardedDatabase> {
-    for (ShardPartition& p : shard_partitions_) {
-      if (!p.live || p.source != &db || p.source_version == db.version()) {
-        continue;
-      }
-      // The source mutated. Facts-only growth is caught up in place —
-      // ShardedDatabase::CatchUp routes just the new facts, O(delta)
-      // instead of the O(db) repartition — but only when no other registry
-      // entry shares the shards: a content-equal twin (or a superseded
-      // alias) may have in-flight jobs probing them, and in-place mutation
-      // would race. (Jobs over `db` itself are excluded by the header's
-      // no-mutation-while-in-flight contract.) Cached per-shard views stay
-      // registered: CatchUp bumps each shard's own version(), so the
-      // EvalCache catches each view up on its next acquisition.
-      bool shared = false;
-      for (const ShardPartition& q : shard_partitions_) {
-        shared |= &q != &p && q.shards == p.shards;
-      }
-      if (!shared && p.num_facts <= num_facts &&
-          p.num_elements <= num_elements) {
-        p.shards->CatchUp(db);
-        p.source_version = db.version();
-        p.fingerprint = fingerprint;
-        p.num_facts = num_facts;
-        p.num_elements = num_elements;
-      } else {
-        p.live = false;
-        UnregisterShardViews(p, caches);
-      }
-    }
-    std::shared_ptr<ShardedDatabase> found;
-    bool have_identity = false;
-    for (const ShardPartition& p : shard_partitions_) {
-      if (!p.live || p.fingerprint != fingerprint ||
-          p.num_facts != num_facts || p.num_elements != num_elements) {
-        continue;
-      }
-      if (found == nullptr) found = p.shards;
-      have_identity |=
-          p.source == &db && p.source_version == db.version();
-    }
-    if (found != nullptr && !have_identity) {
-      ShardPartition alias;
-      alias.source = &db;
-      alias.source_version = db.version();
-      alias.fingerprint = fingerprint;
-      alias.num_facts = num_facts;
-      alias.num_elements = num_elements;
-      alias.shards = found;
-      shard_partitions_.push_back(std::move(alias));
-    }
-    return found;
-  };
-
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    if (auto existing = find_or_alias_locked()) return existing;
-  }
-
-  // True miss: build the partition, then re-check — a racing thread may
-  // have registered the same content while we built (drop ours then: no
-  // view was built from it, so dropping is safe).
-  auto built = std::make_shared<ShardedDatabase>(db, num_shards);
-
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  if (auto raced = find_or_alias_locked()) return raced;
-  ShardPartition partition;
-  partition.source = &db;
-  partition.source_version = db.version();
-  partition.fingerprint = fingerprint;
-  partition.num_facts = num_facts;
-  partition.num_elements = num_elements;
-  partition.shards = std::move(built);
-  shard_partitions_.push_back(std::move(partition));
-  return shard_partitions_.back().shards;
-}
+QueryService::~QueryService() { Shutdown(); }
 
 EvalResponse QueryService::Evaluate(const EvalRequest& request) const {
   std::vector<EvalRequest> one;
@@ -503,7 +231,13 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
 
   std::vector<EvalResponse> responses(requests.size());
   const EngineSet engines;
-  EvalCache* const shared_cache = options_.cache.get();
+  // Views and plans come from the shared cache when one is configured, else
+  // from a call-local one that dies with this call — never from the
+  // streaming cache, whose database-lifetime rule would then bind every
+  // batch caller.
+  const std::shared_ptr<EvalCache> cache =
+      options_.cache != nullptr ? options_.cache
+                                : MakePrivateCache(options_.engine);
 
   const int hw_threads = ResolveThreadCount(options_.num_threads);
   int threads = static_cast<int>(
@@ -511,87 +245,25 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
 
   // One immutable index view per distinct database, shared by all worker
   // threads: structures are built once (under the view's lock) and probed
-  // concurrently afterwards. With a shared EvalCache the views come from —
-  // and outlive the batch in — the cache; the shared_ptr keeps a view
-  // usable even if the cache evicts it mid-batch. The plain (unsharded)
-  // view is acquired even when sharding is on: shard-unsound plans fall
-  // back to it.
+  // concurrently afterwards. The shared_ptr keeps a view usable even if the
+  // cache evicts it mid-batch.
   std::unordered_map<const Database*, std::shared_ptr<const IndexedDatabase>>
       views;
-  // Atomics: the plain views are acquired sequentially below, but per-shard
-  // views are acquired lazily from inside worker threads.
-  std::atomic<long long> view_hits{0}, view_misses{0};
-  const auto acquire_view = [&](const Database& db) {
-    if (shared_cache != nullptr) {
-      bool hit = false;
-      auto view = shared_cache->AcquireIndexed(db, &hit);
-      ++(hit ? view_hits : view_misses);
-      return view;
-    }
-    return std::make_shared<const IndexedDatabase>(
-        db, options_.engine.ToIndexOptions());
-  };
-  if (options_.engine.use_index) {
-    for (const EvalRequest& request : requests) {
-      CQA_CHECK(request.db != nullptr);
-      auto& slot = views[request.db];
-      if (slot == nullptr) slot = acquire_view(*request.db);
-    }
+  long long view_hits = 0, view_misses = 0;
+  for (const EvalRequest& request : requests) {
+    CQA_CHECK(request.db != nullptr);
+    if (!options_.engine.use_index) continue;
+    auto& slot = views[request.db];
+    if (slot != nullptr) continue;
+    bool hit = false;
+    slot = cache->AcquireIndexed(*request.db, &hit);
+    ++(hit ? view_hits : view_misses);
   }
-
-  // Sharded path setup: one *lazy* slot per distinct database. The
-  // partition and its per-shard views are built on the first request whose
-  // plan passes the shard gate — a batch of only shard-unsound plans never
-  // partitions anything. Per-shard views are ordinary cache views (each
-  // shard has its own fingerprint) and count into the same hit/miss stats.
-  // Fan-out width per request is the thread budget the batch itself leaves
-  // unused, so a one-request batch shards across every core while a
-  // saturated batch keeps its parallelism across requests. Keys are all
-  // inserted up front: worker threads only ever find their node, never
-  // rehash the map.
-  struct LazyShardSlot {
-    std::mutex mu;
-    bool built = false;
-    ShardContext ctx;
-  };
-  std::unordered_map<const Database*, LazyShardSlot> shard_slots;
-  const bool sharding = options_.num_shards >= 1;
-  const int shard_parallelism = std::max(1, hw_threads / std::max(threads, 1));
-  if (sharding) {
-    for (const EvalRequest& request : requests) {
-      CQA_CHECK(request.db != nullptr);
-      shard_slots.try_emplace(request.db);
-    }
-  }
-  const auto build_shard_ctx = [&](const Database& db, ShardContext* ctx) {
-    ctx->shards = AcquireShards(db);
-    ctx->parallelism = shard_parallelism;
-    if (options_.engine.use_index) {
-      ctx->views.reserve(ctx->shards->num_shards());
-      for (int k = 0; k < ctx->shards->num_shards(); ++k) {
-        ctx->views.push_back(acquire_view(ctx->shards->shard(k)));
-      }
-    }
-  };
-
-  // Intra-batch plan tier; shapes already decided by the shared cache are
-  // copied in on first touch so later requests count as intra-batch reuses.
-  BatchPlanCache batch_plans;
 
   const auto run_request = [&](size_t i) {
     const EvalRequest& request = requests[i];
-    CQA_CHECK(request.db != nullptr);
     const IndexedDatabase* idb =
         options_.engine.use_index ? views.at(request.db).get() : nullptr;
-    const ShardContextProvider acquire = [&, db = request.db]() {
-      LazyShardSlot& slot = shard_slots.at(db);
-      std::lock_guard<std::mutex> lock(slot.mu);
-      if (!slot.built) {
-        build_shard_ctx(*db, &slot.ctx);
-        slot.built = true;
-      }
-      return static_cast<const ShardContext*>(&slot.ctx);
-    };
     // One interruption token per request (deadline armed here, when the
     // request actually starts): service-wide defaults overridden field by
     // field by the request's own limits. No limits, no token, no overhead.
@@ -601,8 +273,7 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
     if (limits.any() || request.cancel != nullptr) {
       ectx.emplace(limits, request.cancel);
     }
-    ExecuteRequest(request, options_, engines, idb, &batch_plans, shared_cache,
-                   sharding ? &acquire : nullptr,
+    ExecuteRequest(request, options_, engines, idb, *cache,
                    ectx.has_value() ? &*ectx : nullptr, &responses[i]);
   };
 
@@ -649,30 +320,18 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
     stats->wall_ms = MsSince(run_start);
     stats->jobs = static_cast<int>(requests.size());
     stats->threads_used = requests.empty() ? 0 : std::max(threads, 1);
-    stats->index_cache_hits = view_hits.load();
-    stats->index_cache_misses = view_misses.load();
+    stats->index_cache_hits = view_hits;
+    stats->index_cache_misses = view_misses;
     for (const EvalResponse& r : responses) {
       stats->total_eval_ms += r.eval_ms;
       stats->max_job_ms = std::max(stats->max_job_ms, r.plan_ms + r.eval_ms);
       stats->eval.Add(r.eval);
-      if (r.plan_source == PlanSource::kBatchCache) ++stats->plan_cache_hits;
-      if (r.plan_source == PlanSource::kSharedCache) ++stats->cross_plan_hits;
+      if (r.plan_cached()) ++stats->plan_hits;
       if (r.plan.approximate) ++stats->approx_jobs;
       if (r.status != ResponseStatus::kOk) ++stats->stopped_jobs;
-      if (r.sharded) {
-        ++stats->sharded_jobs;
-      } else if (options_.num_shards >= 1) {
-        ++stats->shard_fallbacks;
-      }
     }
     for (const auto& [db, view] : views) {
       stats->index_bytes += view->stats().bytes;
-    }
-    for (const auto& [db, slot] : shard_slots) {
-      if (!slot.built) continue;  // reads are safe: workers joined above
-      for (const auto& view : slot.ctx.views) {
-        stats->index_bytes += view->stats().bytes;
-      }
     }
   }
   return responses;
@@ -719,11 +378,6 @@ std::future<EvalResponse> QueryService::Submit(EvalRequest request) {
     request.mode = AnswerMode::kBounds;
     degraded = true;
     ++shed_degraded_;
-  }
-  if (options_.cache == nullptr && own_cache_ == nullptr) {
-    EvalCacheOptions cache_options;
-    cache_options.index = options_.engine.ToIndexOptions();
-    own_cache_ = std::make_shared<EvalCache>(cache_options);
   }
   if (workers_.empty()) {
     const int threads = ResolveThreadCount(options_.num_threads);
@@ -787,46 +441,20 @@ void QueryService::WorkerLoop() {
     if (queue_.empty()) return;  // stopping, and all pending requests done
     Pending pending = std::move(queue_.front());
     queue_.pop_front();
-    EvalCache* const cache =
-        options_.cache != nullptr ? options_.cache.get() : own_cache_.get();
     lock.unlock();
 
     EvalResponse response;
     bool stopped = false;
-    // The shared_ptrs keep the views (and the shard partition) alive for
-    // the whole request even if a cache evicts or the registry supersedes
-    // them meanwhile. A throw must not escape the worker thread
+    // The shared_ptr keeps the view alive for the whole request even if the
+    // cache evicts it meanwhile. A throw must not escape the worker thread
     // (std::terminate): it travels through the future.
     try {
       std::shared_ptr<const IndexedDatabase> view;
       if (options_.engine.use_index) {
-        view = cache->AcquireIndexed(*pending.request.db);
+        view = serving_cache_->AcquireIndexed(*pending.request.db);
       }
-      // Lazy, like the batch path: the partition is only acquired when the
-      // plan passes the shard gate. Streamed requests run concurrently with
-      // each other already, so the per-request shard fan-out stays
-      // sequential to avoid oversubscribing the persistent pool.
-      ShardContext shard_ctx;
-      bool shard_ctx_built = false;
-      const ShardContextProvider acquire = [&]() {
-        if (!shard_ctx_built) {
-          shard_ctx.shards = AcquireShards(*pending.request.db);
-          shard_ctx.parallelism = 1;
-          if (options_.engine.use_index) {
-            shard_ctx.views.reserve(shard_ctx.shards->num_shards());
-            for (int k = 0; k < shard_ctx.shards->num_shards(); ++k) {
-              shard_ctx.views.push_back(
-                  cache->AcquireIndexed(shard_ctx.shards->shard(k)));
-            }
-          }
-          shard_ctx_built = true;
-        }
-        return static_cast<const ShardContext*>(&shard_ctx);
-      };
       ExecuteRequest(pending.request, options_, engines, view.get(),
-                     /*batch_cache=*/nullptr, cache,
-                     options_.num_shards >= 1 ? &acquire : nullptr,
-                     pending.ctx.get(), &response);
+                     *serving_cache_, pending.ctx.get(), &response);
       response.degraded = pending.degraded;
       stopped = response.status != ResponseStatus::kOk;
       pending.promise.set_value(std::move(response));
@@ -857,10 +485,7 @@ void QueryService::Shutdown() {
   for (std::thread& t : workers) t.join();
 }
 
-EvalCache* QueryService::serving_cache() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_.cache != nullptr ? options_.cache.get() : own_cache_.get();
-}
+EvalCache* QueryService::serving_cache() const { return serving_cache_.get(); }
 
 std::shared_ptr<std::mutex> QueryService::WriteMutexFor(const Database* db) {
   std::lock_guard<std::mutex> lock(pub_mu_);
@@ -878,42 +503,20 @@ bool QueryService::Publish(Database* db, RelationId rel, Tuple fact) {
 
 std::unique_ptr<Subscription> QueryService::Subscribe(EvalRequest request) {
   CQA_CHECK(request.db != nullptr);
-  // The subscription's view source: the shared cache when configured, else
-  // the private streaming cache (created here if Submit has not yet). Its
-  // identity catch-up path (eval/cache.h) is what keeps per-tick index
-  // maintenance O(delta) instead of a per-tick rebuild.
-  std::shared_ptr<EvalCache> cache;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (options_.cache != nullptr) {
-      cache = options_.cache;
-    } else {
-      if (own_cache_ == nullptr) {
-        EvalCacheOptions cache_options;
-        cache_options.index = options_.engine.ToIndexOptions();
-        own_cache_ = std::make_shared<EvalCache>(cache_options);
-      }
-      cache = own_cache_;
-    }
-  }
-  // Plan like any other request, through the shared plan tier. The plan is
+  // Plan like any other request, through the one plan tier. The plan is
   // fixed for the subscription's lifetime — the decision depends on the
   // query shape and mode only, never on the data.
-  const std::vector<int> key =
-      PlanCacheKey(request.query, options_.planner, request.mode);
-  std::shared_ptr<const PlanDecision> cached = cache->LookupPlan(key);
-  PlanDecision plan;
-  if (cached != nullptr) {
-    plan = *cached;
-  } else {
-    plan = PlanQuery(request.query, options_.planner, request.mode);
-    cache->StorePlan(key, std::make_shared<const PlanDecision>(plan));
-  }
+  const std::shared_ptr<const PlanDecision> plan = serving_cache_->GetOrPlan(
+      PlanCacheKey(request.query, options_.planner, request.mode),
+      [&] { return PlanQuery(request.query, options_.planner, request.mode); });
   const EvalLimits limits = EvalLimits::Merge(options_.limits, request.limits);
   auto state = std::make_unique<StandingQueryState>(
-      std::move(request.query), request.mode, std::move(plan));
+      std::move(request.query), request.mode, *plan);
+  // The subscription's view source is the serving cache: its identity
+  // catch-up path (eval/cache.h) is what keeps per-tick index maintenance
+  // O(delta) instead of a per-tick rebuild.
   return std::unique_ptr<Subscription>(new Subscription(
-      std::move(state), request.db, limits, request.cancel, std::move(cache),
+      std::move(state), request.db, limits, request.cancel, serving_cache_,
       options_.engine.use_index, WriteMutexFor(request.db)));
 }
 

@@ -9,19 +9,8 @@
 // approximation-aware planner (eval/engine.h) sits behind it: a request in
 // an approximate mode on a width-over-budget query is answered by evaluating
 // synthesized TW(width_budget) rewrites, whose synthesis is cached per query
-// shape in the EvalCache plan tier so it is paid once across batches.
-//
-// Sharded evaluation (EvalOptions::num_shards >= 1): every database a
-// request mentions is hash-partitioned by first column (data/shard.h) and
-// shard-sound plans (PlanDecision::shard_sound, the IsShardSound algebra in
-// eval/engine.h) are answered as the union of per-shard evaluations
-// (eval/shard_eval.h) — in every AnswerMode and through all three calling
-// conventions. Plans the algebra rejects fall back to the unsharded path
-// (never a wrong answer; BatchStats::shard_fallbacks counts them and
-// PlanDecision::shard_reason says why). Partitions are kept on the service
-// (see the contract below); per-shard index views are ordinary EvalCache
-// views keyed by each shard's own fingerprint, so they survive across
-// batches like any other view.
+// shape in the EvalCache plan tier — the one plan tier of every calling
+// convention (EvalCache::GetOrPlan) — so it is paid once across requests.
 //
 // (The pre-QueryService batch vocabulary — BatchJob/BatchResult/
 // BatchOptions aliases and the deprecated BatchEvaluator forwards — was
@@ -35,15 +24,17 @@
 //    batches is fine — the cross-batch EvalCache (eval/cache.h) detects it
 //    via Database::version and rebuilds.
 //  - QueryService::EvaluateBatch is const and reentrant; it owns its
-//    transient thread pool and per-run caches, so several batches may
-//    proceed concurrently on one service. Within a batch, one immutable
-//    IndexedDatabase view per distinct database is shared by all workers,
-//    and planner decisions are reused across requests of the same canonical
-//    shape x mode. Results are deterministic: bit-identical to a sequential
-//    run.
+//    transient thread pool, so several batches may proceed concurrently on
+//    one service. Within a batch, one immutable IndexedDatabase view per
+//    distinct database is shared by all workers, and each canonical shape x
+//    mode is planned once. Results are deterministic: bit-identical to a
+//    sequential run.
 //  - When EvalOptions::cache is set, views and plans come from (and survive
 //    into) that shared EvalCache; the cache's own IndexOptions govern index
-//    building. The cache may be shared by many services and threads.
+//    building. The cache may be shared by many services and threads. When
+//    it is unset, EvaluateBatch uses a call-local EvalCache that dies with
+//    the call, so the cache's database-lifetime contract never reaches a
+//    batch caller.
 //  - Submit/Drain/Shutdown form the streaming seam. They are mutually
 //    thread-safe (any thread may submit), but unlike EvaluateBatch they
 //    mutate the service (a persistent worker pool + queue), so a streaming
@@ -51,22 +42,6 @@
 //    after Shutdown or after all futures are ready. A request's answers are
 //    identical to what a blocking EvaluateBatch of the same request would
 //    return; only completion order varies.
-//  - With num_shards >= 1 the service keeps one ShardedDatabase partition
-//    per distinct database content it has served *shard-sound plans* for
-//    (partitions are acquired lazily, only when a request actually takes
-//    the sharded path; when the source's version() shows growth the
-//    partition is caught up in place — only the new facts are routed —
-//    and re-partitioned when it shrank or the shards are shared with a
-//    content-equal twin; superseded partitions are retained until the
-//    service is destroyed so cached views can never dangle). The destructor
-//    unregisters every shard from EvalOptions::cache; when that cache is
-//    shared with other services, the cache's usual lifetime contract
-//    applies to the shards exactly as it does to caller-owned databases
-//    (eval/cache.h): let other holders' in-flight jobs finish before
-//    destroying a sharded service. A caller that destroys a Database a
-//    sharded service has served should call InvalidateShards(db) first
-//    (alongside the usual EvalCache::Invalidate), so a later allocation
-//    reusing the address can never match the registry's identity memo.
 
 #ifndef CQA_EVAL_SERVICE_H_
 #define CQA_EVAL_SERVICE_H_
@@ -92,7 +67,6 @@
 namespace cqa {
 
 class EvalCache;           // eval/cache.h
-class ShardedDatabase;     // data/shard.h
 class StandingQueryState;  // eval/delta_eval.h
 
 /// The consolidated serving options: everything that used to be spread over
@@ -103,16 +77,6 @@ class StandingQueryState;  // eval/delta_eval.h
 struct EvalOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   int num_threads = 0;
-  /// Hash shards per database for the sharded evaluation path; 0 (or
-  /// negative) = off. When >= 1, each distinct database is partitioned by
-  /// first column (data/shard.h; 1 is the degenerate single-shard
-  /// partition, useful for testing) and shard-sound plans are answered as
-  /// the union of per-shard evaluations; plans the soundness algebra
-  /// rejects fall back to the unsharded path with the reason in
-  /// PlanDecision::shard_reason. Partitions are built once per database
-  /// content and kept on the service; per-shard index views go through the
-  /// same caches as every other view.
-  int num_shards = 0;
   /// When set, every kExact request runs on this engine instead of the
   /// planner's pick (requests the engine does not Support, and requests in
   /// approximate modes, fall back to the planner).
@@ -124,8 +88,9 @@ struct EvalOptions {
   /// Cross-batch cache (eval/cache.h). When set, index views and plans are
   /// looked up there first and stored back, so they outlive any one batch;
   /// the cache's IndexOptions override EngineOptions' index knobs. When
-  /// unset, EvaluateBatch keeps per-run caches and Submit lazily creates a
-  /// private EvalCache so streaming still amortizes across requests.
+  /// unset, EvaluateBatch uses a call-local cache and Submit/Subscribe use
+  /// a private EvalCache the service owns, so streaming still amortizes
+  /// across requests.
   std::shared_ptr<EvalCache> cache;
   /// Default resource limits applied to every request (deadline, node
   /// budget, max_answers; eval/eval_context.h). A request's own
@@ -205,16 +170,12 @@ struct EvalResponse {
   EngineKind engine = EngineKind::kNaive;  ///< exact-path engine of the plan
   PlanDecision plan;                       ///< planner verdict (if planned)
   PlanSource plan_source = PlanSource::kPlanned;  ///< where the plan came from
-  /// True when the answers came from the sharded path (the union of
-  /// per-shard evaluations); false when sharding was off, or was requested
-  /// but the plan was not shard-sound (see plan.shard_reason).
-  bool sharded = false;
   EvalStats eval;        ///< per-request evaluation counters
   double plan_ms = 0.0;  ///< planning wall time (includes synthesis)
   double eval_ms = 0.0;  ///< evaluation wall time
 
-  /// True when the plan came from a cache (either tier).
-  bool plan_cached() const { return plan_source != PlanSource::kPlanned; }
+  /// True when the plan came from the EvalCache plan tier.
+  bool plan_cached() const { return plan_source == PlanSource::kCached; }
 };
 
 /// Aggregate timing over a batch.
@@ -224,25 +185,16 @@ struct BatchStats {
   double max_job_ms = 0.0;     ///< slowest single request (plan + eval)
   int jobs = 0;
   int threads_used = 0;
-  /// Requests whose plan was an *intra-batch reuse*: a decision made
-  /// earlier in this same batch. Cross-batch hits are counted separately.
-  long long plan_cache_hits = 0;
-  /// Requests whose plan came from the shared EvalCache (a different batch
-  /// — or streaming request — planned this shape x mode first).
-  long long cross_plan_hits = 0;
-  /// Distinct-database view acquisitions served by the shared EvalCache /
-  /// built fresh into it. Both stay 0 when EvalOptions::cache is unset.
+  /// Requests whose plan the EvalCache plan tier served (PlanSource::
+  /// kCached): planned earlier in this batch, by an earlier batch, or by a
+  /// streaming request. Forced-engine requests are never counted.
+  long long plan_hits = 0;
+  /// Distinct-database view acquisitions served by the batch's EvalCache
+  /// (EvalOptions::cache, or the call-local one) / built fresh into it.
   long long index_cache_hits = 0;
   long long index_cache_misses = 0;
   /// Requests answered through approximation rewrites (plan.approximate).
   long long approx_jobs = 0;
-  /// Requests answered via the per-shard union (EvalResponse::sharded).
-  /// `eval.shard_evals` then carries the per-shard sub-evaluation count and
-  /// the other `eval` counters the per-shard probe/node totals.
-  long long sharded_jobs = 0;
-  /// Requests where sharding was requested (num_shards >= 1) but the plan
-  /// was not shard-sound, so the unsharded path answered instead.
-  long long shard_fallbacks = 0;
   /// Requests that finished with status != kOk (deadline / cancel /
   /// truncation): their responses carry sound partial under-approximations.
   long long stopped_jobs = 0;
@@ -353,9 +305,8 @@ struct SubscriptionDelta {
 /// caller must not run AddFact concurrently with Poll.) Deletions are not
 /// supported — the delta algebra is insert-only, matching CQ monotonicity.
 ///
-/// Subscriptions always evaluate on the unsharded path (the per-tick work
-/// is O(delta), below any useful fan-out), and EvalOptions::forced_engine
-/// does not apply (delta seeding drives the shared probe core directly).
+/// EvalOptions::forced_engine does not apply to subscriptions (delta
+/// seeding drives the shared probe core directly).
 /// Thread-safe: Poll, answers(), possible(), and caught_up() may be called
 /// from different threads.
 class Subscription {
@@ -428,10 +379,11 @@ class QueryService {
   /// like the input and bit-identical to a sequential run. `stats`
   /// (optional) receives aggregate timing. When indexing is on, one
   /// immutable IndexedDatabase per distinct database is shared by all
-  /// workers; plans are cached per canonical shape x mode so repeated
-  /// shapes (and their approximation synthesis) plan once. If a request
-  /// throws (e.g. bad_alloc), the pool winds down and the first exception
-  /// is rethrown to the caller.
+  /// workers; views and plans come from EvalOptions::cache or a call-local
+  /// EvalCache, and each canonical shape x mode (with its approximation
+  /// synthesis) is planned once, however many workers miss on it. If a
+  /// request throws (e.g. bad_alloc), the pool winds down and the first
+  /// exception is rethrown to the caller.
   std::vector<EvalResponse> EvaluateBatch(
       const std::vector<EvalRequest>& requests,
       BatchStats* stats = nullptr) const;
@@ -440,9 +392,9 @@ class QueryService {
   /// pool (started lazily on first call) and returns a future for its
   /// response. The answers equal what EvaluateBatch({request}) would
   /// produce. Thread-safe. Plans and (when indexing is on) views go
-  /// through EvalOptions::cache, or through a private EvalCache created on
-  /// first Submit when none was configured. If the request throws, the
-  /// exception is delivered via the future.
+  /// through serving_cache(); concurrent first-sight requests of one shape
+  /// plan once. If the request throws, the exception is
+  /// delivered via the future.
   ///
   /// Admission control: after Shutdown() — or when a concurrent Shutdown
   /// wins the race — Submit returns a failed future carrying
@@ -491,18 +443,9 @@ class QueryService {
   /// Thread-safe; `db` must outlive the call.
   bool Publish(Database* db, RelationId rel, Tuple fact);
 
-  /// Unregisters every shard partition built from `db` (by identity): the
-  /// partition is marked dead and its shard views are dropped from the
-  /// serving caches, exactly as the destructor does for all partitions
-  /// (in-flight jobs holding the partition finish safely; the next request
-  /// over that database re-partitions). The sharding counterpart of
-  /// EvalCache::Invalidate — call both before destroying a Database this
-  /// service has served with sharding on. No-op when the database was
-  /// never partitioned.
-  void InvalidateShards(const Database& db);
-
-  /// The cache streaming requests go through: EvalOptions::cache when set,
-  /// else the private cache (nullptr before the first Submit creates it).
+  /// The cache streaming requests and subscriptions go through:
+  /// EvalOptions::cache when set, else a private cache the service owns.
+  /// Never null.
   EvalCache* serving_cache() const;
 
   const EvalOptions& options() const { return options_; }
@@ -517,55 +460,16 @@ class QueryService {
     bool degraded = false;  ///< admission control rewrote kExact -> kBounds
   };
 
-  // One cached partition of one database content (num_shards is fixed by
-  // the options). `source`/`source_version` make steady-state lookups an
-  // identity check instead of an O(facts) fingerprint. When the source
-  // grows (facts only added — the AddFact-only mutation model), the
-  // partition is caught up in place (ShardedDatabase::CatchUp routes just
-  // the new facts) — unless another partition entry shares the same shards
-  // (a content-equal twin may have in-flight jobs probing them, so in-place
-  // mutation would race); then, or when the source shrank, `live` flips to
-  // false and a fresh partition supersedes this one — the superseded shards
-  // are *retained* (not freed) because a shared EvalCache may have handed
-  // views built from them to concurrently running batches (see the file
-  // comment; they are unregistered from the caches immediately, so nothing
-  // new can acquire them).
-  struct ShardPartition {
-    const Database* source = nullptr;
-    uint64_t source_version = 0;
-    uint64_t fingerprint = 0;
-    long long num_facts = 0;  ///< fingerprint-collision guard
-    int num_elements = 0;     ///< fingerprint-collision guard
-    /// Non-const so the registry can CatchUp in place; handed out to
-    /// evaluation as shared_ptr<const ShardedDatabase>.
-    std::shared_ptr<ShardedDatabase> shards;
-    bool live = true;
-  };
-
   void WorkerLoop();
-
-  /// The partition of `db` (building and registering one if needed, or
-  /// re-partitioning after a mutation). Thread-safe; the returned pointer
-  /// keeps the shards alive for the caller's whole job.
-  std::shared_ptr<const ShardedDatabase> AcquireShards(
-      const Database& db) const;
-
-  /// Every serving cache currently in play (options_.cache and/or the
-  /// private streaming cache). Used to unregister shard views.
-  std::vector<EvalCache*> ServingCaches() const;
-
-  /// Drops every view built from `partition`'s shards out of `caches`. The
-  /// one retirement routine shared by the destructor, InvalidateShards,
-  /// and the mutation-supersede path in AcquireShards.
-  static void UnregisterShardViews(const ShardPartition& partition,
-                                   const std::vector<EvalCache*>& caches);
 
   /// The per-database write mutex shared by Publish and every Subscription
   /// on that database (created on first use, retained for the service's
-  /// lifetime; entries are keyed by identity, like the other registries).
+  /// lifetime; entries are keyed by identity).
   std::shared_ptr<std::mutex> WriteMutexFor(const Database* db);
 
   EvalOptions options_;
+  /// EvalOptions::cache, or a private one; fixed at construction.
+  const std::shared_ptr<EvalCache> serving_cache_;
 
   // Streaming state (untouched by EvaluateBatch, which is const and
   // self-contained).
@@ -574,8 +478,7 @@ class QueryService {
   std::condition_variable idle_cv_;  ///< signals Drain: in_flight_ hit 0
   std::deque<Pending> queue_;
   std::vector<std::thread> workers_;
-  std::shared_ptr<EvalCache> own_cache_;  ///< lazy fallback serving cache
-  long long in_flight_ = 0;               ///< queued + executing requests
+  long long in_flight_ = 0;  ///< queued + executing requests
   bool stopping_ = false;
   // Streaming-path counters (guarded by mu_; surfaced by StreamingStats).
   long long streamed_jobs_ = 0;
@@ -583,14 +486,8 @@ class QueryService {
   long long shed_rejected_ = 0;
   long long stopped_jobs_ = 0;
 
-  // Shard-partition registry, shared by batch and streaming paths (its own
-  // lock: never held together with mu_). Grows by one entry per distinct
-  // database content served sharded, plus one per observed mutation.
-  mutable std::mutex shard_mu_;
-  mutable std::vector<ShardPartition> shard_partitions_;
-
   // Per-database write mutexes for the subscription seam (its own lock,
-  // held only for map access — never together with mu_ or shard_mu_).
+  // held only for map access — never together with mu_).
   std::mutex pub_mu_;
   std::unordered_map<const Database*, std::shared_ptr<std::mutex>>
       write_mu_by_db_;

@@ -189,7 +189,16 @@ AnswerSet RunTreewidth(const ConjunctiveQuery& q, const Database& db,
   q.Validate();
   CQA_CHECK(ValidateTreeDecomposition(td, GraphOfQuery(q)));
   const int b = static_cast<int>(td.bags.size());
-  CQA_CHECK(b > 0);
+  if (b == 0) {
+    // No variables, so every atom is nullary: Q(D) = {()} iff every such
+    // proposition holds in D.
+    AnswerSet out(0);
+    for (const Atom& atom : q.atoms()) {
+      if (db.facts(atom.rel).empty()) return out;
+    }
+    out.Insert({});
+    return out;
+  }
 
   // Assign each atom to a bag containing all its variables (exists by the
   // clique-containment property of tree decompositions).

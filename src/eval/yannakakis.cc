@@ -57,6 +57,7 @@ std::vector<VarTable> HyperedgeTables(const ConjunctiveQuery& q,
   std::vector<VarTable> tables(h.num_edges());
   std::vector<bool> initialized(h.num_edges(), false);
   for (const Atom& atom : q.atoms()) {
+    if (atom.vars.empty()) continue;  // no hyperedge: see RunYannakakis
     // Locate the hyperedge equal to this atom's scope.
     std::vector<int> scope = atom.vars;
     std::sort(scope.begin(), scope.end());
@@ -86,6 +87,14 @@ AnswerSet RunYannakakis(const ConjunctiveQuery& q, const Database& db,
                         const IndexedDatabase* idb, EvalStats* stats,
                         const EvalContext* ctx) {
   q.Validate();
+  // A nullary atom has no hyperedge in H(Q): it is a proposition about the
+  // whole database, so a false one empties Q(D) and a true one constrains
+  // nothing.
+  for (const Atom& atom : q.atoms()) {
+    if (atom.vars.empty() && db.facts(atom.rel).empty()) {
+      return AnswerSet(static_cast<int>(q.free_variables().size()));
+    }
+  }
   const Hypergraph h = HypergraphOfQuery(q);
   const auto jt = BuildJoinTree(h);
   CQA_CHECK(jt.has_value());  // caller must pass an acyclic query

@@ -157,7 +157,7 @@ ConjunctiveQuery EdgeEnumerationCQ() {
   return q;
 }
 
-ConjunctiveQuery ShardSoundStarCQ(int arms) {
+ConjunctiveQuery StarCQ(int arms) {
   CQA_CHECK(arms >= 1);
   ConjunctiveQuery q(Vocabulary::Graph());
   const int x = q.AddVariable("x");
@@ -168,17 +168,6 @@ ConjunctiveQuery ShardSoundStarCQ(int arms) {
     free_vars.push_back(y);
   }
   q.SetFreeVariables(free_vars);
-  return q;
-}
-
-ConjunctiveQuery ShardUnsoundPathCQ() {
-  ConjunctiveQuery q(Vocabulary::Graph());
-  const int x = q.AddVariable("x");
-  const int y = q.AddVariable("y");
-  const int z = q.AddVariable("z");
-  q.AddAtom(0, {x, y});
-  q.AddAtom(0, {y, z});
-  q.SetFreeVariables({x, z});
   return q;
 }
 

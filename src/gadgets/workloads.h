@@ -32,20 +32,14 @@ ConjunctiveQuery RandomCyclicGraphCQ(int cycle_len, int extra_atoms,
 /// share.
 ConjunctiveQuery TriangleOutputCQ();
 
-/// Q(x, y) :- E(x, y): single-atom edge enumeration — always shard-sound
-/// (IsShardSound, eval/engine.h), and the simplest nonempty workload.
+/// Q(x, y) :- E(x, y): single-atom edge enumeration, the simplest nonempty
+/// workload.
 ConjunctiveQuery EdgeEnumerationCQ();
 
-/// Q(x, y1, ..., yk) :- E(x, y1), ..., E(x, yk), every variable free:
-/// every atom keys on x, so the star is shard-sound (co-partitioned on the
-/// first column) and acyclic. `arms` >= 1. The canonical sound shape the
-/// sharding tests and benches share.
-ConjunctiveQuery ShardSoundStarCQ(int arms);
-
-/// Q(x, z) :- E(x, y), E(y, z): the canonical shard-UNSOUND shape — a
-/// two-edge path may witness through facts keyed by x and by y, which land
-/// in different shards; IsShardSound rejects it and serving falls back.
-ConjunctiveQuery ShardUnsoundPathCQ();
+/// Q(x, y1, ..., yk) :- E(x, y1), ..., E(x, yk), every variable free: an
+/// acyclic star (so every engine, Yannakakis included, supports it).
+/// `arms` >= 1.
+ConjunctiveQuery StarCQ(int arms);
 
 }  // namespace cqa
 

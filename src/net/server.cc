@@ -302,7 +302,6 @@ Json CqaServer::HandleEval(const Json& request, const std::string& tenant) {
   out.Set("status", Json::Str(ResponseStatusName(cur.meta.status)));
   out.Set("exact", Json::Bool(cur.meta.exact));
   out.Set("degraded", Json::Bool(cur.meta.degraded));
-  out.Set("sharded", Json::Bool(cur.meta.sharded));
   out.Set("engine", Json::Str(EngineKindName(cur.meta.engine)));
   out.Set("arity", Json::Number(static_cast<double>(cur.answers->arity())));
   out.Set("answer_count",
@@ -444,31 +443,36 @@ Json CqaServer::HandlePublish(const Json& request) {
                      "unknown relation: " + std::string(rel_name));
   }
 
-  // Exclusive lock: the mutation must not overlap any evaluation or page
-  // fetch on this database (pairs with the shared locks in EVAL/FETCH).
-  std::unique_lock<std::shared_mutex> db_lock(entry->rw);
+  // Validate the whole fact before touching the database: a refused
+  // PUBLISH must leave the universe, the version and open cursors alone.
   const std::string_view args =
       std::string_view(fact).substr(open + 1, fact.size() - open - 2);
-  Tuple tuple;
+  std::vector<std::string> names;
   for (const std::string& field : Split(args, ',')) {
     const std::string_view name = Trim(field);
     if (!IsIdentifier(name)) {
       return MakeError(ErrorCode::kParseError,
                        "malformed element name: " + std::string(name));
     }
-    const auto it = entry->elements.find(std::string(name));
-    if (it != entry->elements.end()) {
-      tuple.push_back(it->second);
-    } else {
-      const Element e = entry->db->AddElement();
-      entry->db->SetElementName(e, std::string(name));
-      entry->elements.emplace(std::string(name), e);
-      tuple.push_back(e);
-    }
+    names.emplace_back(name);
   }
-  if (static_cast<int>(tuple.size()) != entry->db->vocab()->arity(*rel)) {
+  if (static_cast<int>(names.size()) != entry->db->vocab()->arity(*rel)) {
     return MakeError(ErrorCode::kParseError,
                      "arity mismatch for " + std::string(rel_name));
+  }
+
+  // Exclusive lock: the mutation must not overlap any evaluation or page
+  // fetch on this database (pairs with the shared locks in EVAL/FETCH).
+  std::unique_lock<std::shared_mutex> db_lock(entry->rw);
+  Tuple tuple;
+  for (const std::string& name : names) {
+    auto it = entry->elements.find(name);
+    if (it == entry->elements.end()) {
+      const Element e = entry->db->AddElement();
+      entry->db->SetElementName(e, name);
+      it = entry->elements.emplace(name, e).first;
+    }
+    tuple.push_back(it->second);
   }
   const bool inserted =
       service_->Publish(entry->db, *rel, std::move(tuple));
@@ -495,19 +499,15 @@ Json CqaServer::HandleStats(const Json&) {
         Json::Number(static_cast<double>(streaming.stopped_jobs)));
   out.Set("streaming", std::move(s));
 
+  const EvalCacheStats cs = service_->serving_cache()->stats();
   Json c = Json::Object();
-  if (const EvalCache* cache = service_->serving_cache()) {
-    const EvalCacheStats cs = cache->stats();
-    c.Set("index_hits", Json::Number(static_cast<double>(cs.index_hits)));
-    c.Set("index_misses", Json::Number(static_cast<double>(cs.index_misses)));
-    c.Set("index_entries",
-          Json::Number(static_cast<double>(cs.index_entries)));
-    c.Set("index_bytes", Json::Number(static_cast<double>(cs.index_bytes)));
-    c.Set("plan_hits", Json::Number(static_cast<double>(cs.plan_hits)));
-    c.Set("plan_misses", Json::Number(static_cast<double>(cs.plan_misses)));
-    c.Set("plan_entries",
-          Json::Number(static_cast<double>(cs.plan_entries)));
-  }
+  c.Set("index_hits", Json::Number(static_cast<double>(cs.index_hits)));
+  c.Set("index_misses", Json::Number(static_cast<double>(cs.index_misses)));
+  c.Set("index_entries", Json::Number(static_cast<double>(cs.index_entries)));
+  c.Set("index_bytes", Json::Number(static_cast<double>(cs.index_bytes)));
+  c.Set("plan_hits", Json::Number(static_cast<double>(cs.plan_hits)));
+  c.Set("plan_misses", Json::Number(static_cast<double>(cs.plan_misses)));
+  c.Set("plan_entries", Json::Number(static_cast<double>(cs.plan_entries)));
   out.Set("cache", std::move(c));
 
   const ServerStats ss = stats();

@@ -88,7 +88,7 @@ struct ServerOptions {
   /// TCP port; 0 = ephemeral (read the bound port from port()).
   int port = 0;
   /// Forwarded to the owned QueryService (threads, cache, limits,
-  /// max_queue/degrade_queue shedding, sharding — the whole serving stack).
+  /// max_queue/degrade_queue shedding — the whole serving stack).
   EvalOptions eval;
   /// Tenant registry (net/admission.h). Default: anonymous, unlimited.
   AdmissionOptions admission;

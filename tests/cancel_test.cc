@@ -1,7 +1,7 @@
 // Resource limits and cooperative cancellation (eval/eval_context.h) across
 // the serving stack: deadlines, cancel flags, node and answer budgets must
-// stop evaluation promptly in every engine, every AnswerMode, sharded and
-// unsharded — and an interrupted response must be *soundly partial*: its
+// stop evaluation promptly in every engine and every AnswerMode — and an
+// interrupted response must be *soundly partial*: its
 // answers (and bounds->under) a subset of Q(D), never reported exact, with
 // the over side flagged invalid. The streaming seam adds admission control:
 // Submit after Shutdown and on a full queue returns failed futures (never a
@@ -66,40 +66,37 @@ void ExpectSoundlyPartial(const EvalResponse& r, const AnswerSet& exact) {
 }
 
 // ---------------------------------------------------------------------------
-// The matrix: engines x modes x sharded/unsharded.
+// The matrix: engines x modes.
 
-// Forced engines cover the three exact paths; the star shape is acyclic (so
-// Yannakakis supports it) and shard-sound (so the sharded run truly shards).
-TEST(CancelMatrixTest, ExpiredDeadlineAcrossEnginesAndSharding) {
+// Forced engines cover the three exact paths; the star shape is acyclic, so
+// Yannakakis supports it.
+TEST(CancelMatrixTest, ExpiredDeadlineAcrossEngines) {
   const Database db = SmallDenseDb();
-  const ConjunctiveQuery q = ShardSoundStarCQ(2);
+  const ConjunctiveQuery q = StarCQ(2);
   const AnswerSet exact = EvaluateNaive(q, db);
   ASSERT_FALSE(exact.empty());
 
   for (const EngineKind kind : {EngineKind::kNaive, EngineKind::kYannakakis,
                                 EngineKind::kTreewidth}) {
-    for (const int shards : {0, 2}) {
-      EvalOptions opts;
-      opts.num_threads = 1;
-      opts.num_shards = shards;
-      opts.forced_engine = kind;
-      const QueryService service(opts);
+    EvalOptions opts;
+    opts.num_threads = 1;
+    opts.forced_engine = kind;
+    const QueryService service(opts);
 
-      EvalRequest request{q, &db};
-      request.limits = ExpiredDeadline();
-      BatchStats stats;
-      const auto results = service.EvaluateBatch({request}, &stats);
-      EXPECT_EQ(results[0].status, ResponseStatus::kDeadlineExceeded)
-          << EngineKindName(kind) << " shards=" << shards;
-      ExpectSoundlyPartial(results[0], exact);
-      EXPECT_EQ(stats.stopped_jobs, 1);
+    EvalRequest request{q, &db};
+    request.limits = ExpiredDeadline();
+    BatchStats stats;
+    const auto results = service.EvaluateBatch({request}, &stats);
+    EXPECT_EQ(results[0].status, ResponseStatus::kDeadlineExceeded)
+        << EngineKindName(kind);
+    ExpectSoundlyPartial(results[0], exact);
+    EXPECT_EQ(stats.stopped_jobs, 1);
 
-      // The same request without limits is exact: limits never leak.
-      const EvalResponse full = service.Evaluate({q, &db});
-      EXPECT_EQ(full.status, ResponseStatus::kOk);
-      EXPECT_TRUE(full.exact);
-      EXPECT_TRUE(full.answers == exact);
-    }
+    // The same request without limits is exact: limits never leak.
+    const EvalResponse full = service.Evaluate({q, &db});
+    EXPECT_EQ(full.status, ResponseStatus::kOk);
+    EXPECT_TRUE(full.exact);
+    EXPECT_TRUE(full.answers == exact);
   }
 }
 
@@ -113,21 +110,18 @@ TEST(CancelMatrixTest, ExpiredDeadlineAcrossAnswerModes) {
   for (const AnswerMode mode :
        {AnswerMode::kExact, AnswerMode::kUnderApproximate,
         AnswerMode::kOverApproximate, AnswerMode::kBounds}) {
-    for (const int shards : {0, 2}) {
-      EvalOptions opts;
-      opts.num_threads = 1;
-      opts.num_shards = shards;
-      opts.planner.width_budget = 1;  // triangle is width 2: approximate
-      const QueryService service(opts);
+    EvalOptions opts;
+    opts.num_threads = 1;
+    opts.planner.width_budget = 1;  // triangle is width 2: approximate
+    const QueryService service(opts);
 
-      EvalRequest request{q, &db, mode};
-      request.limits = ExpiredDeadline();
-      const EvalResponse r = service.Evaluate(request);
-      EXPECT_EQ(r.status, ResponseStatus::kDeadlineExceeded)
-          << "mode " << static_cast<int>(mode) << " shards=" << shards;
-      ExpectSoundlyPartial(r, exact);
-      EXPECT_EQ(r.bounds.has_value(), mode == AnswerMode::kBounds);
-    }
+    EvalRequest request{q, &db, mode};
+    request.limits = ExpiredDeadline();
+    const EvalResponse r = service.Evaluate(request);
+    EXPECT_EQ(r.status, ResponseStatus::kDeadlineExceeded)
+        << "mode " << static_cast<int>(mode);
+    ExpectSoundlyPartial(r, exact);
+    EXPECT_EQ(r.bounds.has_value(), mode == AnswerMode::kBounds);
   }
 }
 

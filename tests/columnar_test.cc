@@ -2,17 +2,20 @@
 // KeyedRowGroups / RelationIndex edge cases (empty relation, all-bound,
 // none-bound, duplicate-heavy, arity 0/1/32), plus engine-agreement
 // property tests pinning that the columnar probe paths return byte-identical
-// AnswerSets across engines x modes x sharded — including mid-evaluation
-// cancellation (partial results stay a subset of Q(D)).
+// AnswerSets across engines x modes — against an independent homomorphism
+// oracle, too — including mid-evaluation cancellation (partial results stay
+// a subset of Q(D)).
 
 #include <gtest/gtest.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
 #include "cq/parse.h"
 #include "cq/properties.h"
+#include "cq/tableau.h"
 #include "data/column_store.h"
 #include "data/generators.h"
 #include "data/index.h"
@@ -22,6 +25,7 @@
 #include "eval/service.h"
 #include "gadgets/workloads.h"
 #include "graph/standard.h"
+#include "hom/homomorphism.h"
 
 namespace cqa {
 namespace {
@@ -214,31 +218,76 @@ TEST(ColumnarAgreementTest, EnginesAgreeOnRandomQueries) {
   EXPECT_GT(yann_tested, 0);
 }
 
-// All four answer modes through the service, sharded and unsharded, on a
-// shard-sound query: byte-identical certain answers everywhere, collapsed
-// sandwiches on tractable queries.
-TEST(ColumnarAgreementTest, ModesAndShardsAgreeThroughService) {
+// The independent oracle: Q(D) as the homomorphisms from Q's tableau into D
+// (hom/, which shares no code with the probe core), projected onto the
+// distinguished tuple.
+AnswerSet HomomorphismOracle(const ConjunctiveQuery& q, const Database& db) {
+  const PointedDatabase tableau = ToTableau(q);
+  AnswerSet answers(static_cast<int>(tableau.distinguished.size()));
+  ForEachHomomorphism(tableau.db, db, {}, [&](const std::vector<Element>& h) {
+    Tuple t;
+    t.reserve(tableau.distinguished.size());
+    for (const Element v : tableau.distinguished) t.push_back(h[v]);
+    answers.Insert(t);
+    return true;
+  });
+  return answers;
+}
+
+// Every engine x {scan, indexed} against the oracle on probe-heavy shapes:
+// the triangle, the 4-edge path and a cyclic 3+2 query over a 130-node
+// graph; the triangle and a cyclic 3+1 query over a 110-node graph.
+TEST(ColumnarAgreementTest, EnginesMatchHomomorphismOracle) {
+  Rng rng(515151);
+  const Database db = RandomDigraphDatabase(130, 8.0 / 130, &rng);
+  const Database db_tw = RandomDigraphDatabase(110, 8.0 / 110, &rng);
+  ConjunctiveQuery path4(G());
+  const int first = path4.AddVariables(5);
+  for (int i = 0; i < 4; ++i) path4.AddAtom(0, {first + i, first + i + 1});
+  path4.SetFreeVariables({first, first + 4});
+  const ConjunctiveQuery cyclic32 = RandomCyclicGraphCQ(3, 2, &rng);
+  const ConjunctiveQuery cyclic31 = RandomCyclicGraphCQ(3, 1, &rng);
+  const std::vector<std::pair<ConjunctiveQuery, const Database*>> cases = {
+      {TriangleOutputCQ(), &db}, {path4, &db},
+      {cyclic32, &db},           {TriangleOutputCQ(), &db_tw},
+      {cyclic31, &db_tw}};
+
+  for (const auto& [q, d] : cases) {
+    const AnswerSet oracle = HomomorphismOracle(q, *d);
+    EXPECT_FALSE(oracle.empty()) << PrintQuery(q);
+    const IndexedDatabase idb(*d);
+    for (const EngineKind kind : {EngineKind::kNaive, EngineKind::kYannakakis,
+                                  EngineKind::kTreewidth}) {
+      const auto engine = MakeEngine(kind);
+      if (!engine->Supports(q)) continue;
+      EXPECT_TRUE(engine->Evaluate(q, *d) == oracle)
+          << engine->name() << " scan " << PrintQuery(q);
+      EXPECT_TRUE(engine->Evaluate(q, idb) == oracle)
+          << engine->name() << " indexed " << PrintQuery(q);
+    }
+  }
+}
+
+// All four answer modes through the service on a tractable star query:
+// byte-identical certain answers everywhere, collapsed sandwiches.
+TEST(ColumnarAgreementTest, ModesAgreeThroughService) {
   Rng rng(77);
   const Database db = RandomDigraphDatabase(40, 0.12, &rng, true);
-  const ConjunctiveQuery q = ShardSoundStarCQ(2);
+  const ConjunctiveQuery q = StarCQ(2);
   const AnswerSet exact = EvaluateNaive(q, db);
 
-  for (const int shards : {0, 2}) {
-    EvalOptions opts;
-    opts.num_threads = 1;
-    opts.num_shards = shards;
-    const QueryService service(opts);
-    for (const AnswerMode mode :
-         {AnswerMode::kExact, AnswerMode::kUnderApproximate,
-          AnswerMode::kOverApproximate, AnswerMode::kBounds}) {
-      const EvalResponse r = service.Evaluate({q, &db, mode});
-      EXPECT_EQ(r.status, ResponseStatus::kOk);
-      EXPECT_TRUE(r.answers == exact)
-          << "mode=" << AnswerModeName(mode) << " shards=" << shards;
-      if (mode == AnswerMode::kBounds) {
-        ASSERT_TRUE(r.bounds.has_value());
-        EXPECT_TRUE(r.bounds->tight());
-      }
+  EvalOptions opts;
+  opts.num_threads = 1;
+  const QueryService service(opts);
+  for (const AnswerMode mode :
+       {AnswerMode::kExact, AnswerMode::kUnderApproximate,
+        AnswerMode::kOverApproximate, AnswerMode::kBounds}) {
+    const EvalResponse r = service.Evaluate({q, &db, mode});
+    EXPECT_EQ(r.status, ResponseStatus::kOk);
+    EXPECT_TRUE(r.answers == exact) << "mode=" << AnswerModeName(mode);
+    if (mode == AnswerMode::kBounds) {
+      ASSERT_TRUE(r.bounds.has_value());
+      EXPECT_TRUE(r.bounds->tight());
     }
   }
 }
@@ -275,25 +324,22 @@ TEST(ColumnarAgreementTest, CancellationKeepsPartialAnswersSound) {
 }
 
 // The same, via the service's cancel flag raised before evaluation starts:
-// kCancelled with an empty-but-sound result, under both sharding settings.
-TEST(ColumnarAgreementTest, PreRaisedCancelFlagAcrossSharding) {
+// kCancelled with an empty-but-sound result.
+TEST(ColumnarAgreementTest, PreRaisedCancelFlag) {
   Rng rng(7);
   const Database db = RandomDigraphDatabase(40, 0.15, &rng, true);
-  const ConjunctiveQuery q = ShardSoundStarCQ(2);
+  const ConjunctiveQuery q = StarCQ(2);
   const AnswerSet exact = EvaluateNaive(q, db);
-  for (const int shards : {0, 2}) {
-    EvalOptions opts;
-    opts.num_threads = 1;
-    opts.num_shards = shards;
-    const QueryService service(opts);
-    EvalRequest req{q, &db};
-    req.cancel = MakeCancelFlag();
-    req.cancel->store(true);
-    const EvalResponse r = service.Evaluate(req);
-    EXPECT_EQ(r.status, ResponseStatus::kCancelled) << "shards=" << shards;
-    EXPECT_FALSE(r.exact);
-    EXPECT_TRUE(r.answers.IsSubsetOf(exact)) << "shards=" << shards;
-  }
+  EvalOptions opts;
+  opts.num_threads = 1;
+  const QueryService service(opts);
+  EvalRequest req{q, &db};
+  req.cancel = MakeCancelFlag();
+  req.cancel->store(true);
+  const EvalResponse r = service.Evaluate(req);
+  EXPECT_EQ(r.status, ResponseStatus::kCancelled);
+  EXPECT_FALSE(r.exact);
+  EXPECT_TRUE(r.answers.IsSubsetOf(exact));
 }
 
 }  // namespace

@@ -283,7 +283,7 @@ TEST(EvaluateBatchTest, PlanCacheHitsOnRepeatedShapes) {
   opts.num_threads = 1;  // deterministic hit count: 2 misses, 7 hits
   BatchStats stats;
   const auto results = QueryService(opts).EvaluateBatch(jobs, &stats);
-  EXPECT_EQ(stats.plan_cache_hits, 7);
+  EXPECT_EQ(stats.plan_hits, 7);
   EXPECT_FALSE(results[0].plan_cached());
   EXPECT_FALSE(results[1].plan_cached());
   for (size_t i = 2; i < results.size(); ++i) {
@@ -308,7 +308,7 @@ TEST(EvaluateBatchTest, ForcedEngineSkipsPlanCache) {
   opts.forced_engine = EngineKind::kYannakakis;
   BatchStats stats;
   QueryService(opts).EvaluateBatch(jobs, &stats);
-  EXPECT_EQ(stats.plan_cache_hits, 0);
+  EXPECT_EQ(stats.plan_hits, 0);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // EvalCache and streaming-serving tests: database version/fingerprint
-// semantics, cross-batch index/plan reuse with the stat tiers separated,
-// LRU eviction under byte pressure (without breaking in-flight views),
-// invalidation when a database gains facts, and Submit/Drain/Shutdown
+// semantics, cross-batch index/plan reuse, the single-flight plan tier
+// (GetOrPlan plans each key once, and a throwing planner wakes its
+// waiters), LRU eviction under byte pressure (without breaking in-flight
+// views), invalidation when a database gains facts, and Submit/Drain/Shutdown
 // returning exactly the answers a blocking EvaluateBatch produces.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "base/rng.h"
@@ -134,24 +138,25 @@ TEST(EvalCacheTest, CrossBatchStatsDistinguishTiersFromIntraBatchReuse) {
   const QueryService evaluator(opts);
 
   // Cold batch: nothing is in the shared cache yet — 2 plans are computed,
-  // 7 jobs reuse them intra-batch, the one view is built fresh.
+  // the plan tier serves the other 7 jobs, the one view is built fresh.
   BatchStats cold;
   const auto first = evaluator.EvaluateBatch(jobs, &cold);
-  EXPECT_EQ(cold.plan_cache_hits, 7);
-  EXPECT_EQ(cold.cross_plan_hits, 0);
+  EXPECT_EQ(cold.plan_hits, 7);
+  EXPECT_EQ(opts.cache->stats().plan_misses, 2);
   EXPECT_EQ(cold.index_cache_hits, 0);
   EXPECT_EQ(cold.index_cache_misses, 1);
+  EXPECT_EQ(first[0].plan_source, PlanSource::kPlanned);
+  EXPECT_EQ(first[2].plan_source, PlanSource::kCached);
 
-  // Warm batch: both shapes hit the shared cache (2 cross-batch hits), the
-  // remaining 7 jobs are intra-batch reuses again, and the view is shared.
+  // Warm batch: every plan comes from the cache (nothing is planned), and
+  // the view is shared.
   BatchStats warm;
   const auto second = evaluator.EvaluateBatch(jobs, &warm);
-  EXPECT_EQ(warm.plan_cache_hits, 7);
-  EXPECT_EQ(warm.cross_plan_hits, 2);
+  EXPECT_EQ(warm.plan_hits, 9);
+  EXPECT_EQ(opts.cache->stats().plan_misses, 2);
   EXPECT_EQ(warm.index_cache_hits, 1);
   EXPECT_EQ(warm.index_cache_misses, 0);
-  EXPECT_EQ(second[0].plan_source, PlanSource::kSharedCache);
-  EXPECT_EQ(second[2].plan_source, PlanSource::kBatchCache);
+  EXPECT_EQ(second[0].plan_source, PlanSource::kCached);
   EXPECT_TRUE(second[0].plan_cached());
 
   // Warm answers are identical to cold ones and to ground truth.
@@ -163,7 +168,7 @@ TEST(EvalCacheTest, CrossBatchStatsDistinguishTiersFromIntraBatchReuse) {
   }
 
   const EvalCacheStats stats = opts.cache->stats();
-  EXPECT_EQ(stats.plan_hits, 2);
+  EXPECT_EQ(stats.plan_hits, 16);
   EXPECT_EQ(stats.index_hits, 1);
   EXPECT_EQ(stats.index_entries, 1);
 }
@@ -300,6 +305,76 @@ TEST(EvalCacheTest, PlanLruEvictsBeyondEntryBound) {
   EXPECT_EQ(stats.plan_entries, 1);
 }
 
+// GetOrPlan is single-flight: a key's first caller plans, later callers
+// hit, and only planner runs count as misses.
+TEST(EvalCacheTest, GetOrPlanPlansEachKeyOnce) {
+  EvalCache cache;
+  int runs = 0;
+  const auto plan_fn = [&] {
+    ++runs;
+    PlanDecision d;
+    d.kind = EngineKind::kTreewidth;
+    return d;
+  };
+  bool hit = true;
+  const auto first = cache.GetOrPlan({7}, plan_fn, &hit);
+  EXPECT_FALSE(hit);
+  const auto again = cache.GetOrPlan({7}, plan_fn, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(first.get(), again.get());
+  EXPECT_EQ(cache.LookupPlan({7}).get(), first.get());
+  EXPECT_EQ(runs, 1);
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.plan_misses, 1);
+  EXPECT_EQ(stats.plan_hits, 2);
+}
+
+// A planner that throws must release its claim: the caller waiting on the
+// same key wakes, plans itself, and succeeds, while the exception reaches
+// the claimant.
+TEST(EvalCacheTest, ThrowingPlannerWakesWaiterWhichThenPlans) {
+  EvalCache cache;
+  const std::vector<int> key = {42};
+  std::promise<void> claimed;
+  std::promise<void> fail;
+  std::shared_future<void> fail_now = fail.get_future().share();
+
+  std::thread claimant([&] {
+    EXPECT_THROW(cache.GetOrPlan(key,
+                                 [&]() -> PlanDecision {
+                                   claimed.set_value();
+                                   fail_now.wait();
+                                   throw std::runtime_error("planner failed");
+                                 }),
+                 std::runtime_error);
+  });
+  claimed.get_future().wait();  // the claimant holds the key now
+
+  std::shared_ptr<const PlanDecision> waited;
+  bool hit = true;
+  std::thread waiter([&] {
+    waited = cache.GetOrPlan(
+        key,
+        [] {
+          PlanDecision d;
+          d.reason = "planned by the waiter";
+          return d;
+        },
+        &hit);
+  });
+  // Give the waiter time to block on the claim, then let the claimant fail.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  fail.set_value();
+  claimant.join();
+  waiter.join();
+
+  ASSERT_NE(waited, nullptr);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(waited->reason, "planned by the waiter");
+  EXPECT_EQ(cache.LookupPlan(key).get(), waited.get());
+  EXPECT_EQ(cache.stats().plan_misses, 2);  // two planner runs
+}
+
 // ---------------------------------------------------------------------------
 // Streaming seam.
 
@@ -371,7 +446,7 @@ TEST(StreamingTest, SubmitSharesOneEvalCacheWithBatchRuns) {
   for (size_t i = 0; i < futures.size(); ++i) {
     const EvalResponse result = futures[i].get();
     EXPECT_TRUE(result.answers == reference[i].answers) << "job " << i;
-    EXPECT_EQ(result.plan_source, PlanSource::kSharedCache) << "job " << i;
+    EXPECT_EQ(result.plan_source, PlanSource::kCached) << "job " << i;
   }
   EXPECT_EQ(evaluator.serving_cache(), opts.cache.get());
   EXPECT_GT(opts.cache->stats().index_hits, 0);

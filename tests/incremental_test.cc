@@ -8,7 +8,7 @@
 //    (disjoint from the existing set, union equals the fresh evaluation).
 //  - Serving layer: a mutation-soak property suite — seeded random
 //    interleavings of inserts and queries, across all four AnswerModes,
-//    sharded and unsharded, indexed and scan paths — where the maintained
+//    indexed and scan paths — where the maintained
 //    subscription state must stay byte-identical to from-scratch evaluation
 //    at every step, and the under/over sides must grow monotonically.
 //  - Edge cases: nullary facts, duplicate inserts, inserts into a
@@ -227,101 +227,98 @@ TEST(IncrementalSoakTest, DifferentialMutationSoak) {
       AnswerMode::kExact, AnswerMode::kUnderApproximate,
       AnswerMode::kOverApproximate, AnswerMode::kBounds};
 
-  for (int sharded = 0; sharded <= 1; ++sharded) {
-    for (int indexed = 0; indexed <= 1; ++indexed) {
-      Rng rng(9000 + sharded * 2 + indexed);
-      const int n = 24;
-      Database db = RandomDigraphDatabase(n, 0.10, &rng);
+  for (int indexed = 0; indexed <= 1; ++indexed) {
+    Rng rng(9000 + indexed);
+    const int n = 24;
+    Database db = RandomDigraphDatabase(n, 0.10, &rng);
 
-      EvalOptions opts;
-      opts.num_threads = 1;
-      opts.planner.width_budget = 1;  // TriangleOutputCQ gets approximated
-      opts.num_shards = sharded ? 2 : 0;
-      opts.engine.use_index = indexed != 0;
-      opts.cache = std::make_shared<EvalCache>();
-      QueryService service(opts);
+    EvalOptions opts;
+    opts.num_threads = 1;
+    opts.planner.width_budget = 1;  // TriangleOutputCQ gets approximated
+    opts.engine.use_index = indexed != 0;
+    opts.cache = std::make_shared<EvalCache>();
+    QueryService service(opts);
 
-      // One standing query per mode x query shape: a width-1 (exact-plan)
-      // query and a width-2 (approximated) one.
-      struct Standing {
-        AnswerMode mode;
-        ConjunctiveQuery query;
-        std::unique_ptr<Subscription> sub;
-        AnswerSet prev_certain = AnswerSet(0);
-        AnswerSet prev_possible = AnswerSet(0);
-      };
-      std::vector<Standing> standing;
-      for (const AnswerMode mode : modes) {
-        for (int shape = 0; shape < 2; ++shape) {
-          const ConjunctiveQuery q =
-              shape == 0 ? PathQuery(2) : TriangleOutputCQ();
-          const int arity = static_cast<int>(q.free_variables().size());
-          Standing s{mode, q, service.Subscribe({q, &db, mode}),
-                     AnswerSet(arity), AnswerSet(arity)};
-          standing.push_back(std::move(s));
-        }
+    // One standing query per mode x query shape: a width-1 (exact-plan)
+    // query and a width-2 (approximated) one.
+    struct Standing {
+      AnswerMode mode;
+      ConjunctiveQuery query;
+      std::unique_ptr<Subscription> sub;
+      AnswerSet prev_certain = AnswerSet(0);
+      AnswerSet prev_possible = AnswerSet(0);
+    };
+    std::vector<Standing> standing;
+    for (const AnswerMode mode : modes) {
+      for (int shape = 0; shape < 2; ++shape) {
+        const ConjunctiveQuery q =
+            shape == 0 ? PathQuery(2) : TriangleOutputCQ();
+        const int arity = static_cast<int>(q.free_variables().size());
+        Standing s{mode, q, service.Subscribe({q, &db, mode}),
+                   AnswerSet(arity), AnswerSet(arity)};
+        standing.push_back(std::move(s));
+      }
+    }
+
+    for (int step = 0; step < 8; ++step) {
+      // Interleave: 1-3 inserts (possibly duplicates), then every
+      // standing query ticks and is checked differentially.
+      const int inserts = 1 + static_cast<int>(rng.UniformInt(3));
+      for (int k = 0; k < inserts; ++k) {
+        service.Publish(&db, 0, RandomEdge(n, &rng));
       }
 
-      for (int step = 0; step < 8; ++step) {
-        // Interleave: 1-3 inserts (possibly duplicates), then every
-        // standing query ticks and is checked differentially.
-        const int inserts = 1 + static_cast<int>(rng.UniformInt(3));
-        for (int k = 0; k < inserts; ++k) {
-          service.Publish(&db, 0, RandomEdge(n, &rng));
+      for (Standing& s : standing) {
+        const SubscriptionDelta tick = s.sub->Poll();
+        ASSERT_EQ(tick.status, ResponseStatus::kOk);
+        EXPECT_TRUE(tick.caught_up);
+
+        const AnswerSet certain = s.sub->answers();
+        const AnswerSet possible = s.sub->possible();
+
+        // Monotone: neither side ever shrinks under insertion, and the
+        // per-tick additions reconstruct the new state exactly.
+        EXPECT_TRUE(s.prev_certain.IsSubsetOf(certain));
+        EXPECT_TRUE(s.prev_possible.IsSubsetOf(possible));
+        AnswerSet rebuilt_certain = s.prev_certain;
+        for (const Tuple& t : tick.new_answers.tuples()) {
+          rebuilt_certain.Insert(t);
+        }
+        EXPECT_TRUE(rebuilt_certain == certain);
+        AnswerSet rebuilt_possible = s.prev_possible;
+        for (const Tuple& t : tick.new_possible.tuples()) {
+          rebuilt_possible.Insert(t);
+        }
+        EXPECT_TRUE(rebuilt_possible == possible);
+
+        // Differential: byte-identical to a from-scratch evaluation.
+        const EvalResponse fresh =
+            service.Evaluate({s.query, &db, s.mode});
+        ASSERT_EQ(fresh.status, ResponseStatus::kOk);
+        switch (s.mode) {
+          case AnswerMode::kExact:
+          case AnswerMode::kUnderApproximate:
+            EXPECT_TRUE(certain == fresh.answers);
+            break;
+          case AnswerMode::kOverApproximate:
+            EXPECT_TRUE(s.sub->over_valid());
+            EXPECT_TRUE(possible == fresh.answers);
+            break;
+          case AnswerMode::kBounds:
+            ASSERT_TRUE(fresh.bounds.has_value());
+            EXPECT_TRUE(certain == fresh.bounds->under);
+            EXPECT_TRUE(s.sub->over_valid());
+            EXPECT_TRUE(possible == fresh.bounds->over);
+            break;
+        }
+        // Exact plans must also agree with the reference engine (the
+        // cross-engine differential: planner pick vs naive vs delta).
+        if (s.mode == AnswerMode::kExact) {
+          EXPECT_TRUE(certain == EvaluateNaive(s.query, db));
         }
 
-        for (Standing& s : standing) {
-          const SubscriptionDelta tick = s.sub->Poll();
-          ASSERT_EQ(tick.status, ResponseStatus::kOk);
-          EXPECT_TRUE(tick.caught_up);
-
-          const AnswerSet certain = s.sub->answers();
-          const AnswerSet possible = s.sub->possible();
-
-          // Monotone: neither side ever shrinks under insertion, and the
-          // per-tick additions reconstruct the new state exactly.
-          EXPECT_TRUE(s.prev_certain.IsSubsetOf(certain));
-          EXPECT_TRUE(s.prev_possible.IsSubsetOf(possible));
-          AnswerSet rebuilt_certain = s.prev_certain;
-          for (const Tuple& t : tick.new_answers.tuples()) {
-            rebuilt_certain.Insert(t);
-          }
-          EXPECT_TRUE(rebuilt_certain == certain);
-          AnswerSet rebuilt_possible = s.prev_possible;
-          for (const Tuple& t : tick.new_possible.tuples()) {
-            rebuilt_possible.Insert(t);
-          }
-          EXPECT_TRUE(rebuilt_possible == possible);
-
-          // Differential: byte-identical to a from-scratch evaluation.
-          const EvalResponse fresh =
-              service.Evaluate({s.query, &db, s.mode});
-          ASSERT_EQ(fresh.status, ResponseStatus::kOk);
-          switch (s.mode) {
-            case AnswerMode::kExact:
-            case AnswerMode::kUnderApproximate:
-              EXPECT_TRUE(certain == fresh.answers);
-              break;
-            case AnswerMode::kOverApproximate:
-              EXPECT_TRUE(s.sub->over_valid());
-              EXPECT_TRUE(possible == fresh.answers);
-              break;
-            case AnswerMode::kBounds:
-              ASSERT_TRUE(fresh.bounds.has_value());
-              EXPECT_TRUE(certain == fresh.bounds->under);
-              EXPECT_TRUE(s.sub->over_valid());
-              EXPECT_TRUE(possible == fresh.bounds->over);
-              break;
-          }
-          // Exact plans must also agree with the reference engine (the
-          // cross-engine differential: planner pick vs naive vs delta).
-          if (s.mode == AnswerMode::kExact) {
-            EXPECT_TRUE(certain == EvaluateNaive(s.query, db));
-          }
-
-          s.prev_certain = std::move(certain);
-          s.prev_possible = std::move(possible);
-        }
+        s.prev_certain = std::move(certain);
+        s.prev_possible = std::move(possible);
       }
     }
   }

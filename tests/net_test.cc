@@ -4,9 +4,9 @@
 // evaluation in all four AnswerModes (including paged with limit=1), cursor
 // edge cases (empty sets, oversized limits, idempotent/foreign/exhausted
 // tokens), the snapshot rule (a PUBLISH invalidates open cursors with a
-// typed error, never a torn page), per-tenant admission (typed quota errors
-// while other tenants proceed), STATS, and graceful drain. The concurrency
-// test rides the TSan CI job.
+// typed error, never a torn page; a refused PUBLISH changes nothing),
+// per-tenant admission (typed quota errors while other tenants proceed),
+// STATS, and graceful drain. The concurrency test rides the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -309,6 +309,35 @@ TEST_F(NetTest, PublishInvalidatesOpenCursors) {
   inserted = client.Publish("demo", "E(a, e)");
   ASSERT_TRUE(inserted.has_value());
   EXPECT_FALSE(*inserted);
+}
+
+// A refused PUBLISH changes nothing: the fact's names and arity are
+// validated before any element is added, so the version, the universe and
+// open cursors all survive it.
+TEST_F(NetTest, RefusedPublishLeavesDatabaseAndCursorsAlone) {
+  StartServer();
+  CqaClient client = Connect();
+  CqaClient::EvalParams params;
+  params.db = "demo";
+  params.query = "Q(x, y) :- E(x, y)";
+  params.limit = 1;
+  std::optional<CqaClient::EvalResult> page = client.Eval(params);
+  ASSERT_TRUE(page.has_value());
+  ASSERT_TRUE(page->answers.more);
+  const uint64_t version = db_->version();
+  const int elements = db_->num_elements();
+
+  // An unknown name in a fact of the wrong arity, then a known-good name
+  // followed by a malformed one.
+  EXPECT_FALSE(client.Publish("demo", "E(freshname)").has_value());
+  EXPECT_EQ(client.last_error().code, "parse_error");
+  EXPECT_FALSE(client.Publish("demo", "E(fresh, 9bad)").has_value());
+  EXPECT_EQ(client.last_error().code, "parse_error");
+  EXPECT_EQ(db_->version(), version);
+  EXPECT_EQ(db_->num_elements(), elements);
+
+  EXPECT_TRUE(client.Fetch(page->answers.cursor, 1).has_value())
+      << client.last_error().code;
 }
 
 TEST_F(NetTest, TypedProtocolErrors) {
