@@ -87,11 +87,11 @@ void RunMaintenanceGate(bool quick) {
   const SubscriptionDelta first = sub->Poll();  // baseline tick (full eval)
   g_all_ok &= first.reinitialized && first.caught_up;
 
-  // Rebuild side: no cross-request cache at all — every Evaluate builds its
-  // view from scratch, the pre-incremental serving cost.
+  // Rebuild side: a fresh service, and with it a fresh cache, per
+  // evaluation — every Evaluate builds its view from scratch, the
+  // pre-incremental serving cost.
   EvalOptions rebuild_opts;
   rebuild_opts.num_threads = 1;
-  QueryService rebuild_service(rebuild_opts);
 
   const int mutations = quick ? 40 : 200;
   double delta_ms = 0.0, rebuild_ms = 0.0;
@@ -108,14 +108,15 @@ void RunMaintenanceGate(bool quick) {
     delta_facts += tick.eval.delta_facts;
     rebuild_ms += bench::TimeMs([&] {
       twin.AddFact(0, edge);
-      rebuilt = rebuild_service.Evaluate({query, &twin}).answers;
+      rebuilt = QueryService(rebuild_opts).Evaluate({query, &twin}).answers;
     });
   }
 
   // Divergence check: the maintained answers vs the final full rebuild —
   // and vs a from-scratch evaluation of the live database itself.
   const AnswerSet maintained = sub->answers();
-  const AnswerSet scratch = rebuild_service.Evaluate({query, &live}).answers;
+  const AnswerSet scratch =
+      QueryService(rebuild_opts).Evaluate({query, &live}).answers;
   const bool identical = maintained == scratch && maintained == rebuilt;
   g_all_ok &= identical;
 

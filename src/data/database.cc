@@ -1,6 +1,7 @@
 #include "data/database.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "base/check.h"
@@ -14,7 +15,11 @@ Database::Database(VocabularyPtr vocab, int num_elements)
   CQA_CHECK(vocab_ != nullptr);
   CQA_CHECK(num_elements >= 0);
   facts_.resize(vocab_->num_relations());
-  fact_hash_sums_.assign(vocab_->num_relations(), 0);
+}
+
+uint64_t Database::Id::Next() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 Element Database::AddElement() { return AddElements(1); }
@@ -33,10 +38,6 @@ bool Database::AddFact(RelationId rel, Tuple tuple) {
   for (const Element e : tuple) CQA_CHECK(e >= 0 && e < num_elements_);
   FactKey key{rel, tuple};
   if (!fact_set_.insert(key).second) return false;
-  // Incremental fingerprint maintenance: fold the fact in now (a wrapping
-  // sum, so the result is insertion-order independent) instead of paying
-  // O(facts) on the next Fingerprint() call.
-  fact_hash_sums_[rel] += static_cast<uint64_t>(HashVector(tuple));
   facts_[rel].push_back(std::move(tuple));
   ++version_;
   return true;
@@ -53,32 +54,6 @@ const std::vector<Tuple>& Database::facts(RelationId rel) const {
 
 long long Database::NumFacts() const {
   return static_cast<long long>(fact_set_.size());
-}
-
-uint64_t Database::Fingerprint() const {
-  // Per-relation, facts are folded in with a commutative combine (a wrapping
-  // sum of per-fact hashes, maintained incrementally by AddFact), so
-  // insertion order does not matter; relations themselves are folded in
-  // order, which is canonical (the vocabulary fixes relation ids). The fold
-  // is O(num_relations); a version-keyed memo makes repeat calls O(1).
-  const uint64_t memo_key = version_ + 1;  // 0 marks "never computed"
-  if (fp_memo_.version.load(std::memory_order_acquire) == memo_key) {
-    return fp_memo_.value.load(std::memory_order_relaxed);
-  }
-  uint64_t h = HashCombine(static_cast<size_t>(num_elements_),
-                           static_cast<size_t>(vocab_->num_relations()));
-  for (RelationId r = 0; r < vocab_->num_relations(); ++r) {
-    h = HashCombine(h,
-                    HashCombine(static_cast<size_t>(vocab_->arity(r)),
-                                static_cast<size_t>(fact_hash_sums_[r])));
-    h = HashCombine(h, facts_[r].size());
-  }
-  // Value before version (release): a reader that observes the version slot
-  // is guaranteed the matching value. Concurrent writers race benignly —
-  // the content is fixed per version, so they all store the same pair.
-  fp_memo_.value.store(h, std::memory_order_relaxed);
-  fp_memo_.version.store(memo_key, std::memory_order_release);
-  return h;
 }
 
 bool Database::IsContainedIn(const Database& other) const {

@@ -6,7 +6,6 @@
 #ifndef CQA_DATA_DATABASE_H_
 #define CQA_DATA_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
@@ -59,26 +58,20 @@ class Database {
   /// this value must not overflow.
   long long NumFacts() const;
 
-  /// Mutation counter: bumped every time the database gains an element or a
-  /// (new) fact. Caches that hold structures derived from this database
-  /// (IndexedDatabase views in an EvalCache) record the version they were
-  /// built at and treat a mismatch as staleness; no-op mutations (duplicate
-  /// facts) do not bump it.
-  uint64_t version() const { return version_; }
+  /// Process-unique identity, drawn when the database is constructed and
+  /// again by every copy or assignment (moves included), but left alone by
+  /// AddFact/AddElement. Two live databases never share an id and an id is
+  /// never reused, so a cache keyed by id() cannot serve one database's
+  /// derived structures for another: neither for a content-equal copy, nor
+  /// after `a = b`, nor for a new database at a freed address.
+  uint64_t id() const { return id_.value; }
 
-  /// Order-independent content fingerprint: a 64-bit hash of the vocabulary
-  /// shape, universe size, and the *set* of facts of every relation. Two
-  /// databases with the same content fingerprint-collide deliberately even
-  /// when their facts were inserted in different orders, so content-keyed
-  /// caches can share derived structures across database objects.
-  ///
-  /// Maintained incrementally: AddFact folds each new fact's hash into a
-  /// per-relation commutative sum as it lands, so a call costs
-  /// O(num_relations) — and O(1) when the database has not mutated since
-  /// the previous call (a version-keyed memo, safe to race from concurrent
-  /// readers). There is no O(facts) term left in a cache lookup or a
-  /// subscription tick.
-  uint64_t Fingerprint() const;
+  /// Mutation counter: bumped every time the database gains an element or a
+  /// (new) fact; duplicate facts do not bump it. Under one id() the content
+  /// only grows, so a structure derived at an older version (an
+  /// IndexedDatabase view in an EvalCache) can be caught up by appending
+  /// what was added since, instead of being rebuilt.
+  uint64_t version() const { return version_; }
 
   /// True if every relation of this database is a subset of `other`'s
   /// (requires equal vocabularies; element identity is literal).
@@ -136,30 +129,19 @@ class Database {
   std::vector<std::vector<Tuple>> facts_;
   std::unordered_set<FactKey, FactKeyHash> fact_set_;
   std::vector<std::string> names_;  // may be shorter than num_elements_
-  /// Per-relation wrapping sums of per-fact hashes, maintained by AddFact;
-  /// Fingerprint() folds these instead of re-hashing every fact.
-  std::vector<uint64_t> fact_hash_sums_;
-  /// Fingerprint memo, keyed by version()+1 (0 = empty). Atomics so
-  /// concurrent const readers may race benignly: both compute the same
-  /// value, and the version slot is published after the value (release /
-  /// acquire pairing in Fingerprint()). Copying transfers the memo without
-  /// making Database non-copyable.
-  struct FingerprintMemo {
-    std::atomic<uint64_t> version{0};
-    std::atomic<uint64_t> value{0};
-    FingerprintMemo() = default;
-    FingerprintMemo(const FingerprintMemo& o) { *this = o; }
-    FingerprintMemo& operator=(const FingerprintMemo& o) {
-      // Version first (acquire): observing it guarantees the matching value
-      // store is visible; a db has one valid (version, value) pair.
-      const uint64_t v = o.version.load(std::memory_order_acquire);
-      value.store(o.value.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      version.store(v, std::memory_order_release);
+  /// The id() slot: draws a fresh value on construction, copy and
+  /// assignment, so Database keeps its implicit copy and move operations.
+  struct Id {
+    uint64_t value = Next();
+    Id() = default;
+    Id(const Id&) {}
+    Id& operator=(const Id&) {
+      value = Next();
       return *this;
     }
+    static uint64_t Next();
   };
-  mutable FingerprintMemo fp_memo_;
+  Id id_;
 };
 
 /// A database with a distinguished tuple of elements: the semantic object

@@ -42,12 +42,13 @@
 // Ownership and thread-safety contracts
 // -------------------------------------
 //  - An IndexedDatabase *borrows* its Database: the Database must outlive
-//    the view, and must not gain facts/elements while the view is in use
-//    (structures hold fact ids into db.facts(rel)). Cross-batch mutation is
-//    handled one layer up: eval/cache.h keys views by content fingerprint
-//    and, when the same Database gained facts between uses, calls CatchUp()
-//    to append the delta into every cached structure (~O(delta)) instead of
-//    rebuilding the view from scratch.
+//    every use of the view, and must not gain facts/elements while the view
+//    is in use (structures hold fact ids into db.facts(rel)). Destroying
+//    the view never touches the Database. Mutation between uses is handled
+//    one layer up: eval/cache.h keys views by Database::id() and, when the
+//    same Database gained facts since the view last served it, calls
+//    CatchUp() to append the delta into every cached structure (~O(delta))
+//    instead of rebuilding the view from scratch.
 //  - The view owns every structure it builds and never frees one while it
 //    is alive: pointers returned by Index/ProjectedRows/FactColumns/
 //    ColumnValues stay valid for the lifetime of the view (which is why
@@ -131,7 +132,8 @@ class RelationIndex {
   KeyedRowGroups groups_;
 };
 
-/// Knobs for the index cache (EngineOptions forwards these).
+/// Knobs for one IndexedDatabase (EvalCache builds its views with the
+/// defaults).
 struct IndexOptions {
   /// Master switch: when false every lookup returns nullptr and evaluators
   /// run their scan-based paths.

@@ -1,14 +1,14 @@
 // EvalCache: the process-lifetime caching subsystem that amortizes index and
-// planning work across batches (and across content-identical databases).
+// planning work across requests and batches.
 //
 // What is cached, and under which key
 // -----------------------------------
-//  - IndexedDatabase views, keyed by Database::Fingerprint() (an
-//    order-independent 64-bit content hash). A serving loop that evaluates
-//    batch after batch against the same database — or against different
-//    Database objects holding the same facts — builds each RelationIndex /
-//    projection / column table once for the cache's lifetime instead of once
-//    per QueryService::EvaluateBatch.
+//  - IndexedDatabase views, keyed by Database::id() — the database's
+//    identity, not its content. A serving loop that evaluates request after
+//    request against the same database builds each RelationIndex /
+//    projection / column table once for the cache's lifetime instead of
+//    once per request or batch. Two content-equal databases get two views:
+//    a view is only ever served for the database it was built from.
 //  - PlanDecisions, keyed by the planner-options-and-mode-qualified
 //    canonical query shape (PlanCacheKey): queries that differ only in
 //    variable numbering share one planning verdict for the cache's
@@ -21,28 +21,27 @@
 //    concurrent first-sight requests of one shape (batch workers, streaming
 //    workers, subscriptions) run the planner once between them.
 //
-// Eviction and invalidation
-// -------------------------
+// Catch-up and eviction
+// ---------------------
+// Every cached view records the Database::version() it was built at. Under
+// one id a database only grows (AddFact / AddElement; copying or assigning
+// draws a new id), so when the database is acquired again at a newer
+// version the cache calls IndexedDatabase::CatchUp() on the cached view —
+// appending the new facts into every cached structure, ~O(delta) — and
+// serves it as a hit (counted in index_delta_appends). A view is never
+// rebuilt: index_rebuilds stays 0 and survives only for its readers.
+//
 // Both caches are LRU. The index cache is byte-budgeted
 // (EvalCacheOptions::max_index_bytes): after every acquisition the summed
 // approximate footprint of the cached views is re-polled (views grow lazily
 // as evaluators request new structures) and least-recently-used entries are
 // dropped until the budget holds again; the most recently acquired view is
 // never evicted, so a single oversized database still gets one cached view
-// (bounded by its own IndexOptions::max_bytes). The plan cache is
-// entry-count-bounded (max_plan_entries) — exact decisions are a few dozen
-// bytes, approximate ones add a handful of small rewritten queries.
-//
-// Every cached view records the source Database's version() at build time.
-// When the *same* Database object is acquired again after gaining facts, the
-// cache does not rebuild: it calls IndexedDatabase::CatchUp() on the cached
-// view — appending the new facts into every cached structure, ~O(delta) —
-// re-keys the entry under the new fingerprint, and serves it as a hit
-// (counted in index_delta_appends). Rebuild-from-zero survives only for the
-// cross-database case: a content-equal twin landing on an entry whose source
-// has since diverged (version mismatch under a foreign fingerprint)
-// invalidates the entry and rebuilds (counted in index_rebuilds) — a mutated
-// database can never serve stale answers either way.
+// (bounded by IndexOptions::max_bytes). The views of a database that was
+// destroyed or assigned over are never served again and age out the same
+// way; Invalidate(db) drops one early. The plan cache is entry-count-bounded
+// (max_plan_entries) — exact decisions are a few dozen bytes, approximate
+// ones add a handful of small rewritten queries.
 //
 // Ownership and thread-safety contracts
 // -------------------------------------
@@ -52,21 +51,11 @@
 //  - AcquireIndexed returns shared ownership. Evicting or invalidating an
 //    entry never tears a view out from under an in-flight job: the job's
 //    shared_ptr keeps the view alive until it finishes.
-//  - The cache does NOT own source databases, and content sharing makes
-//    their lifetime contract wider than the entry's: a view built from
-//    database A may be serving jobs submitted with a content-equal twin B
-//    (the view probes A's storage). A must therefore stay alive until
-//    every view built from it is gone — call Invalidate(A) (or Clear()),
-//    AND let in-flight jobs holding such views finish (e.g.
-//    QueryService::Drain()), before freeing A. Destroying a database the
-//    cache has seen without that sequence is undefined behavior.
-//  - Databases must not be mutated while an evaluation over one of their
-//    views is in flight (the same contract data/index.h states); mutating
-//    *between* batches is fine and is exactly what invalidation handles.
-//
-// Fingerprints are O(total facts) to compute, so the cache memoizes them
-// per source database against its version(): steady-state acquisitions cost
-// one O(1) map probe, not a rehash of the database.
+//  - The cache does not own source databases. The one lifetime rule left
+//    is the borrow of data/index.h: a database outlives the requests over
+//    it (and must not gain facts while they are in flight). Destroying or
+//    reassigning a database between requests is fine — its cached views
+//    are orphaned, never probed again.
 
 #ifndef CQA_EVAL_CACHE_H_
 #define CQA_EVAL_CACHE_H_
@@ -96,9 +85,6 @@ struct EvalCacheOptions {
   size_t max_index_bytes = size_t{256} << 20;
   /// Entry bound on the plan LRU (plans are tiny; count, not bytes).
   size_t max_plan_entries = 4096;
-  /// Build policy for cached views (per-view budget, master switch). This —
-  /// not the per-batch EngineOptions — governs views served by this cache.
-  IndexOptions index;
 };
 
 /// Cumulative counters (snapshot via EvalCache::stats).
@@ -106,9 +92,9 @@ struct EvalCacheStats {
   long long index_hits = 0;           ///< AcquireIndexed served from cache
   long long index_misses = 0;         ///< AcquireIndexed built a fresh view
   long long index_evictions = 0;      ///< views dropped by the byte budget
-  long long index_invalidations = 0;  ///< views dropped by version mismatch
+  long long index_invalidations = 0;  ///< views dropped by Invalidate
   long long index_delta_appends = 0;  ///< views caught up in place (O(delta))
-  long long index_rebuilds = 0;       ///< version-mismatch full rebuilds
+  long long index_rebuilds = 0;       ///< always 0: views catch up instead
   long long index_entries = 0;        ///< current number of cached views
   long long index_bytes = 0;          ///< current approximate footprint
   long long plan_hits = 0;            ///< LookupPlan/GetOrPlan served it
@@ -125,11 +111,9 @@ class EvalCache {
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
-  /// The cached view of `db`'s content, building (and caching) one on miss.
-  /// `hit` (optional out) reports whether the view came from the cache.
-  /// On the rare fingerprint collision (same hash, different NumFacts or
-  /// universe size) a fresh uncached view is returned instead — never a
-  /// wrong one.
+  /// The cached view of `db` (by id()), caught up to db.version(); builds
+  /// and caches one on miss. `hit` (optional out) reports whether the view
+  /// came from the cache.
   std::shared_ptr<const IndexedDatabase> AcquireIndexed(const Database& db,
                                                         bool* hit = nullptr);
 
@@ -158,15 +142,10 @@ class EvalCache {
   void StorePlan(const std::vector<int>& key,
                  std::shared_ptr<const PlanDecision> plan);
 
-  /// Drops every cached view built from `db` (by identity) and its
-  /// fingerprint memo. Call before destroying a Database this cache has
-  /// seen; in-flight jobs may still hold evicted views, so also let them
-  /// finish before freeing `db`'s storage (see the file comment). Plans are
-  /// query-only and are not affected.
+  /// Drops the cached view of `db` (by id()) now instead of leaving it to
+  /// the byte budget. Optional: a view is never served for another
+  /// database. Plans are query-only and are not affected.
   void Invalidate(const Database& db);
-
-  /// Drops all cached views and plans; cumulative counters survive.
-  void Clear();
 
   /// Snapshot of the counters (index_bytes is re-polled).
   EvalCacheStats stats() const;
@@ -175,13 +154,10 @@ class EvalCache {
 
  private:
   struct IndexEntry {
-    uint64_t fingerprint = 0;
-    const Database* source = nullptr;  ///< for version validation only
-    uint64_t source_version = 0;
-    long long num_facts = 0;  ///< collision guard
-    int num_elements = 0;     ///< collision guard
-    // Non-const so the identity catch-up path can CatchUp() in place;
-    // handed out as shared_ptr<const IndexedDatabase>.
+    uint64_t db_id = 0;
+    uint64_t version = 0;  ///< db.version() the view is caught up to
+    // Non-const so AcquireIndexed can CatchUp() in place; handed out as
+    // shared_ptr<const IndexedDatabase>.
     std::shared_ptr<IndexedDatabase> view;
   };
   using IndexList = std::list<IndexEntry>;  // front = most recently used
@@ -199,26 +175,11 @@ class EvalCache {
   void StorePlanLocked(const std::vector<int>& key,
                        std::shared_ptr<const PlanDecision> plan);
 
-  // db.Fingerprint() memoized against db.version(). Caller holds mu_.
-  uint64_t FingerprintOfLocked(const Database& db);
-
-  // Keyed by database address; version + content counts guard against a new
-  // database reusing a freed address (callers should still Invalidate before
-  // destroying — see the file comment — but a stale memo must never survive
-  // an address reuse the guards can detect).
-  struct FingerprintMemo {
-    uint64_t version = 0;
-    uint64_t fingerprint = 0;
-    long long num_facts = 0;
-    int num_elements = 0;
-  };
-
   EvalCacheOptions options_;
 
   mutable std::mutex mu_;
   IndexList index_lru_;
-  std::unordered_map<uint64_t, IndexList::iterator> index_map_;
-  std::unordered_map<const Database*, FingerprintMemo> fp_memo_;
+  std::unordered_map<uint64_t, IndexList::iterator> index_map_;  ///< by id
   PlanList plan_lru_;
   std::unordered_map<std::vector<int>, PlanList::iterator, VectorHash>
       plan_map_;

@@ -78,16 +78,6 @@ const char* AnswerModeName(AnswerMode mode);
 struct EngineOptions {
   /// Evaluate through RelationIndex probes (same answers, different speed).
   bool use_index = true;
-  /// Memory budget for the per-database index cache; once exceeded, further
-  /// structures are not built and evaluation falls back to scanning.
-  size_t index_max_bytes = size_t{1} << 30;
-
-  IndexOptions ToIndexOptions() const {
-    IndexOptions opts;
-    opts.enabled = use_index;
-    opts.max_bytes = index_max_bytes;
-    return opts;
-  }
 };
 
 /// A single evaluation algorithm behind a uniform interface.

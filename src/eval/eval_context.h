@@ -63,7 +63,8 @@ inline CancelFlag MakeCancelFlag() {
 /// restating the others.
 struct EvalLimits {
   /// Wall-clock deadline, milliseconds from the moment the request is
-  /// admitted (Submit time for streaming requests: queueing counts).
+  /// admitted (Submit time for streaming requests: queueing counts). One
+  /// too far out for steady_clock to represent acts as no deadline.
   double deadline_ms = 0.0;
   /// Search-node budget across the whole request (all rewrites).
   long long max_nodes = 0;
@@ -99,11 +100,17 @@ class EvalContext {
         max_answers_(limits.max_answers > 0 ? limits.max_answers : 0),
         cancel_(std::move(cancel)) {
     if (limits.deadline_ms > 0.0) {
-      has_deadline_ = true;
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          limits.deadline_ms));
+      const auto now = std::chrono::steady_clock::now();
+      const std::chrono::duration<double, std::milli> budget(
+          limits.deadline_ms);
+      // A deadline past what steady_clock can represent saturates: it never
+      // arrives, so it acts as no deadline (and no cast below overflows).
+      has_deadline_ =
+          budget < std::chrono::steady_clock::time_point::max() - now;
+      if (has_deadline_) {
+        deadline_ = now + std::chrono::duration_cast<
+                              std::chrono::steady_clock::duration>(budget);
+      }
     }
   }
 

@@ -38,15 +38,6 @@ struct EngineSet {
   std::unique_ptr<Engine> engines[3];
 };
 
-// A private EvalCache whose views follow `engine`'s index knobs: the
-// call-local cache of EvaluateBatch, and the streaming cache when
-// EvalOptions::cache is unset.
-std::shared_ptr<EvalCache> MakePrivateCache(const EngineOptions& engine) {
-  EvalCacheOptions cache_options;
-  cache_options.index = engine.ToIndexOptions();
-  return std::make_shared<EvalCache>(cache_options);
-}
-
 AnswerSet EvaluateSubPlan(const ApproxSubPlan& sub, const EngineSet& engines,
                           const IndexedDatabase* idb, const Database& db,
                           EvalStats* stats, const EvalContext* ctx) {
@@ -214,7 +205,7 @@ QueryService::QueryService(EvalOptions options)
     : options_(std::move(options)),
       serving_cache_(options_.cache != nullptr
                          ? options_.cache
-                         : MakePrivateCache(options_.engine)) {}
+                         : std::make_shared<EvalCache>()) {}
 
 QueryService::~QueryService() { Shutdown(); }
 
@@ -231,13 +222,7 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
 
   std::vector<EvalResponse> responses(requests.size());
   const EngineSet engines;
-  // Views and plans come from the shared cache when one is configured, else
-  // from a call-local one that dies with this call — never from the
-  // streaming cache, whose database-lifetime rule would then bind every
-  // batch caller.
-  const std::shared_ptr<EvalCache> cache =
-      options_.cache != nullptr ? options_.cache
-                                : MakePrivateCache(options_.engine);
+  EvalCache& cache = *serving_cache_;
 
   const int hw_threads = ResolveThreadCount(options_.num_threads);
   int threads = static_cast<int>(
@@ -256,7 +241,7 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
     auto& slot = views[request.db];
     if (slot != nullptr) continue;
     bool hit = false;
-    slot = cache->AcquireIndexed(*request.db, &hit);
+    slot = cache.AcquireIndexed(*request.db, &hit);
     ++(hit ? view_hits : view_misses);
   }
 
@@ -273,7 +258,7 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
     if (limits.any() || request.cancel != nullptr) {
       ectx.emplace(limits, request.cancel);
     }
-    ExecuteRequest(request, options_, engines, idb, *cache,
+    ExecuteRequest(request, options_, engines, idb, cache,
                    ectx.has_value() ? &*ectx : nullptr, &responses[i]);
   };
 

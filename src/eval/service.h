@@ -20,21 +20,22 @@
 // -------------------------------------
 //  - EvalRequest borrows its Database; the caller keeps it alive until the
 //    response is returned / the Submit future is ready, and must not mutate
-//    a database while requests over it are in flight. Mutating between
-//    batches is fine — the cross-batch EvalCache (eval/cache.h) detects it
-//    via Database::version and rebuilds.
+//    a database while requests over it are in flight. Mutating, assigning
+//    over or destroying a database between requests is fine: the EvalCache
+//    (eval/cache.h) keys views by Database::id() and catches a grown
+//    database's view up via Database::version(). (A database under a live
+//    Subscription may only gain facts; see Subscription.)
 //  - QueryService::EvaluateBatch is const and reentrant; it owns its
 //    transient thread pool, so several batches may proceed concurrently on
 //    one service. Within a batch, one immutable IndexedDatabase view per
 //    distinct database is shared by all workers, and each canonical shape x
 //    mode is planned once. Results are deterministic: bit-identical to a
 //    sequential run.
-//  - When EvalOptions::cache is set, views and plans come from (and survive
-//    into) that shared EvalCache; the cache's own IndexOptions govern index
-//    building. The cache may be shared by many services and threads. When
-//    it is unset, EvaluateBatch uses a call-local EvalCache that dies with
-//    the call, so the cache's database-lifetime contract never reaches a
-//    batch caller.
+//  - Every calling convention (Evaluate, EvaluateBatch, Submit, Subscribe)
+//    takes views and plans from serving_cache(): EvalOptions::cache when
+//    set — it may be shared by many services and threads — else a private
+//    EvalCache the service owns. Views outlive the request or batch that
+//    built them; EvalCacheOptions::max_index_bytes bounds what is retained.
 //  - Submit/Drain/Shutdown form the streaming seam. They are mutually
 //    thread-safe (any thread may submit), but unlike EvaluateBatch they
 //    mutate the service (a persistent worker pool + queue), so a streaming
@@ -83,14 +84,13 @@ struct EvalOptions {
   std::optional<EngineKind> forced_engine;
   /// Planner knobs: width budget + approximation-synthesis limits.
   PlannerOptions planner;
-  /// Engine knobs: index on/off + per-view byte budget.
+  /// Engine knobs: index on/off.
   EngineOptions engine;
-  /// Cross-batch cache (eval/cache.h). When set, index views and plans are
-  /// looked up there first and stored back, so they outlive any one batch;
-  /// the cache's IndexOptions override EngineOptions' index knobs. When
-  /// unset, EvaluateBatch uses a call-local cache and Submit/Subscribe use
-  /// a private EvalCache the service owns, so streaming still amortizes
-  /// across requests.
+  /// The cache every calling convention goes through (eval/cache.h;
+  /// QueryService::serving_cache): index views and plans are looked up
+  /// there first and stored back, so they outlive any one request or
+  /// batch. When unset, the service owns a private EvalCache with default
+  /// options.
   std::shared_ptr<EvalCache> cache;
   /// Default resource limits applied to every request (deadline, node
   /// budget, max_answers; eval/eval_context.h). A request's own
@@ -189,8 +189,8 @@ struct BatchStats {
   /// kCached): planned earlier in this batch, by an earlier batch, or by a
   /// streaming request. Forced-engine requests are never counted.
   long long plan_hits = 0;
-  /// Distinct-database view acquisitions served by the batch's EvalCache
-  /// (EvalOptions::cache, or the call-local one) / built fresh into it.
+  /// Distinct-database view acquisitions served by serving_cache() (a view
+  /// caught up in place counts as served) / built fresh into it.
   long long index_cache_hits = 0;
   long long index_cache_misses = 0;
   /// Requests answered through approximation rewrites (plan.approximate).
@@ -379,11 +379,10 @@ class QueryService {
   /// like the input and bit-identical to a sequential run. `stats`
   /// (optional) receives aggregate timing. When indexing is on, one
   /// immutable IndexedDatabase per distinct database is shared by all
-  /// workers; views and plans come from EvalOptions::cache or a call-local
-  /// EvalCache, and each canonical shape x mode (with its approximation
-  /// synthesis) is planned once, however many workers miss on it. If a
-  /// request throws (e.g. bad_alloc), the pool winds down and the first
-  /// exception is rethrown to the caller.
+  /// workers; views and plans come from serving_cache(), and each canonical
+  /// shape x mode (with its approximation synthesis) is planned once,
+  /// however many workers miss on it. If a request throws (e.g. bad_alloc),
+  /// the pool winds down and the first exception is rethrown to the caller.
   std::vector<EvalResponse> EvaluateBatch(
       const std::vector<EvalRequest>& requests,
       BatchStats* stats = nullptr) const;
@@ -443,9 +442,8 @@ class QueryService {
   /// Thread-safe; `db` must outlive the call.
   bool Publish(Database* db, RelationId rel, Tuple fact);
 
-  /// The cache streaming requests and subscriptions go through:
-  /// EvalOptions::cache when set, else a private cache the service owns.
-  /// Never null.
+  /// The cache every calling convention goes through: EvalOptions::cache
+  /// when set, else a private cache the service owns. Never null.
   EvalCache* serving_cache() const;
 
   const EvalOptions& options() const { return options_; }
@@ -471,8 +469,8 @@ class QueryService {
   /// EvalOptions::cache, or a private one; fixed at construction.
   const std::shared_ptr<EvalCache> serving_cache_;
 
-  // Streaming state (untouched by EvaluateBatch, which is const and
-  // self-contained).
+  // Streaming state (untouched by EvaluateBatch, which shares only
+  // serving_cache_).
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< signals workers: request or shutdown
   std::condition_variable idle_cv_;  ///< signals Drain: in_flight_ hit 0

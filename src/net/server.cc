@@ -54,6 +54,23 @@ bool ParseMode(const std::string& name, AnswerMode* out) {
   return false;
 }
 
+// Reads the optional non-negative integer field `key` (absent = 0). A
+// negative, fractional or non-finite value, or one past what long long
+// holds, is a typed bad_request, so no double-to-integer cast overflows.
+bool ParseCount(const Json& request, const char* key, long long* out,
+                Json* error_out) {
+  const double raw = request.GetNumber(key, 0.0);
+  // 2^63 is exact as a double, and every double in [0, 2^63) casts in range.
+  if (raw >= 0.0 && raw < 9223372036854775808.0 &&
+      raw == static_cast<double>(static_cast<long long>(raw))) {
+    *out = static_cast<long long>(raw);
+    return true;
+  }
+  *error_out = MakeError(ErrorCode::kBadRequest,
+                         std::string(key) + " must be a non-negative int");
+  return false;
+}
+
 /// Releases the admission slot when a request handler returns.
 class AdmissionGuard {
  public:
@@ -233,14 +250,10 @@ CqaServer::DbEntry* CqaServer::FindDb(const std::string& name) {
 
 bool CqaServer::ParseLimit(const Json& request, size_t* limit,
                            Json* error_out) const {
-  const double raw = request.GetNumber("limit", 0.0);
-  if (raw < 0.0 || raw != static_cast<double>(static_cast<long long>(raw))) {
-    *error_out =
-        MakeError(ErrorCode::kBadRequest, "limit must be a non-negative int");
-    return false;
-  }
-  *limit = raw == 0.0 ? options_.default_limit
-                      : std::min(static_cast<size_t>(raw), options_.max_limit);
+  long long raw = 0;
+  if (!ParseCount(request, "limit", &raw, error_out)) return false;
+  *limit = raw == 0 ? options_.default_limit
+                    : std::min(static_cast<size_t>(raw), options_.max_limit);
   return true;
 }
 
@@ -260,6 +273,12 @@ Json CqaServer::HandleEval(const Json& request, const std::string& tenant) {
     return MakeError(ErrorCode::kBadRequest,
                      "mode must be exact|over|under|bounds");
   }
+  EvalLimits limits;
+  limits.deadline_ms = request.GetNumber("deadline_ms", 0.0);
+  if (!ParseCount(request, "max_nodes", &limits.max_nodes, &error) ||
+      !ParseCount(request, "max_answers", &limits.max_answers, &error)) {
+    return error;
+  }
 
   // Shared lock: evaluation must never overlap a PUBLISH on this database
   // (the EvalRequest no-mutation contract).
@@ -272,12 +291,7 @@ Json CqaServer::HandleEval(const Json& request, const std::string& tenant) {
     return MakeError(ErrorCode::kParseError, "bad query: " + parse_error);
   }
 
-  EvalRequest eval{*query, entry->db, mode};
-  eval.limits.deadline_ms = request.GetNumber("deadline_ms", 0.0);
-  eval.limits.max_nodes =
-      static_cast<long long>(request.GetNumber("max_nodes", 0.0));
-  eval.limits.max_answers =
-      static_cast<long long>(request.GetNumber("max_answers", 0.0));
+  EvalRequest eval{*query, entry->db, mode, limits, /*cancel=*/nullptr};
 
   // The bridge onto the streaming path: deadlines arm at Submit (queue
   // wait counts) and the PR-6 shedding applies — degraded responses flow

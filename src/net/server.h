@@ -13,7 +13,10 @@
 //           replies with the first `limit`-sized page of answers plus a
 //           resumable cursor token when more remain. kBounds responses
 //           carry both sides (certain page + possible page, each with its
-//           own cursor).
+//           own cursor). `limit`, `max_nodes` and `max_answers` must be
+//           non-negative integers that fit in 64 bits (else bad_request;
+//           0 = default / no limit); a `deadline_ms` too far out for the
+//           clock to represent acts as no deadline.
 //   FETCH   {"verb":"FETCH","cursor":<token>,"limit":N}
 //           The next page of an open cursor. Tokens are opaque, offset-
 //           carrying and idempotent: re-sending a token re-reads the same
@@ -201,7 +204,7 @@ class CqaServer {
   /// The registered entry for `name`, or nullptr (entries are stable).
   DbEntry* FindDb(const std::string& name);
   /// Applies default_limit / max_limit; false (with an error response in
-  /// `error_out`) on a negative or fractional "limit" field.
+  /// `error_out`) when "limit" is not a non-negative integer in range.
   bool ParseLimit(const Json& request, size_t* limit, Json* error_out) const;
 
   /// Registers a cursor (evicting LRU entries past max_cursors) and

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -233,6 +234,20 @@ TEST(DeadlineTest, ExplosiveQueryReturnsPromptlyAndSoundly) {
   // must be witnessed by a real triangle.
   for (const Tuple& t : r.answers.tuples()) {
     EXPECT_TRUE(IsTrianglePair(db, t));
+  }
+}
+
+// A deadline further out than steady_clock can represent (1e13 ms is about
+// 317 years) saturates to no deadline instead of overflowing into one that
+// has already passed.
+TEST(DeadlineTest, UnrepresentableDeadlineActsAsNone) {
+  for (const double ms :
+       {1e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    EvalLimits limits;
+    limits.deadline_ms = ms;
+    const EvalContext ctx(limits);
+    EXPECT_FALSE(ctx.Interrupted()) << ms;
+    EXPECT_TRUE(ctx.ok()) << ms;
   }
 }
 

@@ -1,17 +1,22 @@
-// EvalCache and streaming-serving tests: database version/fingerprint
-// semantics, cross-batch index/plan reuse, the single-flight plan tier
+// EvalCache and streaming-serving tests: database id/version semantics,
+// identity-keyed views (never served for another database, whether a
+// content-equal copy, an assigned-over database or a new database at a freed
+// address), cross-batch index/plan reuse, the single-flight plan tier
 // (GetOrPlan plans each key once, and a throwing planner wakes its
 // waiters), LRU eviction under byte pressure (without breaking in-flight
-// views), invalidation when a database gains facts, and Submit/Drain/Shutdown
-// returning exactly the answers a blocking EvaluateBatch produces.
+// views), in-place catch-up when a database gains facts, and
+// Submit/Drain/Shutdown returning exactly the answers a blocking
+// EvaluateBatch produces.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -50,60 +55,28 @@ TEST(DatabaseVersionTest, BumpsOnMutationsOnly) {
   EXPECT_EQ(db.version(), v2);
 }
 
-TEST(DatabaseFingerprintTest, OrderIndependentAndContentSensitive) {
-  const Database a = GraphDb(4, {{0, 1}, {1, 2}, {2, 3}});
-  const Database b = GraphDb(4, {{2, 3}, {0, 1}, {1, 2}});
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+TEST(DatabaseIdTest, StableUnderMutationFreshOnCopyAndAssignment) {
+  Database a = GraphDb(3, {{0, 1}});
+  const uint64_t id = a.id();
+  a.AddFact(0, {1, 2});
+  a.AddElements(1);
+  EXPECT_EQ(a.id(), id);  // growth keeps the identity
 
-  const Database c = GraphDb(4, {{0, 1}, {1, 2}, {3, 2}});  // one edge flipped
-  EXPECT_NE(a.Fingerprint(), c.Fingerprint());
-
-  const Database d = GraphDb(5, {{0, 1}, {1, 2}, {2, 3}});  // extra element
-  EXPECT_NE(a.Fingerprint(), d.Fingerprint());
-
-  Database e = GraphDb(4, {{0, 1}, {1, 2}, {2, 3}});
-  EXPECT_EQ(a.Fingerprint(), e.Fingerprint());
-  e.AddFact(0, {3, 0});
-  EXPECT_NE(a.Fingerprint(), e.Fingerprint());
+  const Database copy = a;
+  EXPECT_NE(copy.id(), id);
+  EXPECT_EQ(a.id(), id);
+  Database moved = std::move(a);
+  EXPECT_NE(moved.id(), id);
+  EXPECT_NE(moved.id(), copy.id());
+  a = copy;  // assignment draws a fresh id, even over a moved-from database
+  EXPECT_NE(a.id(), id);
+  EXPECT_NE(a.id(), copy.id());
+  EXPECT_NE(a.id(), moved.id());
 }
 
-// The fingerprint is maintained under AddFact (a per-relation commutative
-// sum plus a version-keyed memo) instead of re-hashed from all facts. The
-// incremental value must match a from-scratch build at every step, through
-// interleaved reads (which populate the memo) and mutations (which must
-// invalidate it), and must survive copies.
-TEST(DatabaseFingerprintTest, IncrementalMatchesFreshBuildAtEveryStep) {
-  const std::vector<std::pair<Element, Element>> edges = {
-      {0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 1}, {0, 3}};
-  Database grown(Vocabulary::Graph());
-  grown.AddElements(4);
-  for (size_t i = 0; i < edges.size(); ++i) {
-    grown.AddFact(0, {edges[i].first, edges[i].second});
-    // Read twice: the second hits the memo and must agree.
-    const uint64_t fp = grown.Fingerprint();
-    EXPECT_EQ(fp, grown.Fingerprint());
-    // A database built fresh with the same prefix computes the same value.
-    const Database fresh = GraphDb(
-        4, std::vector<std::pair<Element, Element>>(edges.begin(),
-                                                    edges.begin() + i + 1));
-    EXPECT_EQ(fp, fresh.Fingerprint()) << "after fact " << i;
-  }
-  // Duplicate facts are no-ops: no version bump, same fingerprint.
-  const uint64_t before = grown.Fingerprint();
-  EXPECT_FALSE(grown.AddFact(0, {0, 1}));
-  EXPECT_EQ(grown.Fingerprint(), before);
-  // Copies carry the memo and diverge independently afterwards.
-  Database copy = grown;
-  EXPECT_EQ(copy.Fingerprint(), before);
-  copy.AddFact(0, {1, 0});
-  EXPECT_NE(copy.Fingerprint(), before);
-  EXPECT_EQ(grown.Fingerprint(), before);
-  // Element growth (not just facts) invalidates the memo too.
-  grown.AddElements(1);
-  EXPECT_NE(grown.Fingerprint(), before);
-}
-
-TEST(EvalCacheTest, AcquireSharesViewsByContent) {
+// Two content-equal databases are two databases: each gets its own view,
+// and re-acquiring one of them hits its own entry.
+TEST(EvalCacheTest, ContentEqualDatabasesGetTheirOwnViews) {
   EvalCache cache;
   const Database db1 = GraphDb(4, {{0, 1}, {1, 2}});
   const Database db2 = GraphDb(4, {{1, 2}, {0, 1}});  // same content
@@ -111,17 +84,68 @@ TEST(EvalCacheTest, AcquireSharesViewsByContent) {
   bool hit = true;
   const auto view1 = cache.AcquireIndexed(db1, &hit);
   EXPECT_FALSE(hit);
+  const auto view2 = cache.AcquireIndexed(db2, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_NE(view1.get(), view2.get());
+  EXPECT_EQ(&view1->db(), &db1);
+  EXPECT_EQ(&view2->db(), &db2);
   const auto again = cache.AcquireIndexed(db1, &hit);
   EXPECT_TRUE(hit);
-  EXPECT_EQ(view1.get(), again.get());
-  const auto twin = cache.AcquireIndexed(db2, &hit);
-  EXPECT_TRUE(hit);  // content-equal twin shares the view
-  EXPECT_EQ(view1.get(), twin.get());
+  EXPECT_EQ(again.get(), view1.get());
 
   const EvalCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.index_hits, 2);
-  EXPECT_EQ(stats.index_misses, 1);
-  EXPECT_EQ(stats.index_entries, 1);
+  EXPECT_EQ(stats.index_hits, 1);
+  EXPECT_EQ(stats.index_misses, 2);
+  EXPECT_EQ(stats.index_entries, 2);
+}
+
+// Every engine, forced through a QueryService over `cache`, answers `q` on
+// `db` exactly as the scan-based naive oracle does.
+void ExpectEveryEngineMatchesOracle(const std::shared_ptr<EvalCache>& cache,
+                                    const ConjunctiveQuery& q,
+                                    const Database& db) {
+  const AnswerSet oracle = EvaluateNaive(q, db);
+  for (const EngineKind kind : {EngineKind::kNaive, EngineKind::kYannakakis,
+                                EngineKind::kTreewidth}) {
+    EvalOptions opts;
+    opts.num_threads = 1;
+    opts.cache = cache;
+    opts.forced_engine = kind;
+    const EvalResponse r = QueryService(opts).Evaluate({q, &db});
+    EXPECT_EQ(r.engine, kind);
+    EXPECT_TRUE(r.answers == oracle) << EngineKindName(kind);
+  }
+}
+
+// `a = b` over a database the cache has seen leaves the address, the
+// version and the counts as they were and changes the facts: the view of
+// the old `a` must not be served for the new one.
+TEST(EvalCacheTest, AssignmentOverACachedDatabaseServesTheNewContent) {
+  auto cache = std::make_shared<EvalCache>();
+  const ConjunctiveQuery q = EdgeEnumerationCQ();
+  Database a = GraphDb(4, {{0, 1}, {1, 2}});
+  const Database b = GraphDb(4, {{1, 2}, {2, 3}});
+  ExpectEveryEngineMatchesOracle(cache, q, a);
+
+  a = b;
+  ASSERT_FALSE(a.HasFact(0, {0, 1}));
+  ExpectEveryEngineMatchesOracle(cache, q, a);
+}
+
+// A new database emplaced at the address of a destroyed one the cache has
+// seen, without Invalidate, gets a view of its own content.
+TEST(EvalCacheTest, NewDatabaseAtAFreedAddressServesItsOwnContent) {
+  auto cache = std::make_shared<EvalCache>();
+  const ConjunctiveQuery q = EdgeEnumerationCQ();
+  std::optional<Database> slot;
+  slot.emplace(GraphDb(4, {{0, 1}, {1, 2}}));
+  const Database* address = &*slot;
+  ExpectEveryEngineMatchesOracle(cache, q, *slot);
+
+  slot.reset();
+  slot.emplace(GraphDb(4, {{1, 2}, {2, 3}}));
+  ASSERT_EQ(&*slot, address);
+  ExpectEveryEngineMatchesOracle(cache, q, *slot);
 }
 
 TEST(EvalCacheTest, CrossBatchStatsDistinguishTiersFromIntraBatchReuse) {
@@ -222,10 +246,9 @@ TEST(EvalCacheTest, FactInsertionCatchesUpTheCachedViewInPlace) {
   EXPECT_EQ(cold[0].answers.size(), 2u);
   const auto view_before = cache->AcquireIndexed(db);
 
-  // The database gains a fact: its version bumps and its fingerprint
-  // changes, but the entry is keyed to this same database object, so the
-  // cache appends the delta to the existing view instead of rebuilding —
-  // a single AddFact must cause zero index rebuilds (regression pin).
+  // The database gains a fact: its version bumps but its id does not, so
+  // the cache appends the delta to the existing view instead of rebuilding
+  // — a single AddFact must cause zero index rebuilds (regression pin).
   const uint64_t version_before = db.version();
   db.AddFact(0, {2, 3});
   EXPECT_GT(db.version(), version_before);
@@ -241,30 +264,6 @@ TEST(EvalCacheTest, FactInsertionCatchesUpTheCachedViewInPlace) {
   EXPECT_EQ(view_after.get(), view_before.get());  // same view, appended
   EXPECT_GE(cache->stats().index_delta_appends, 1);
   EXPECT_EQ(cache->stats().index_rebuilds, 0);
-}
-
-TEST(EvalCacheTest, MutatedSourceInvalidatesEntryForContentEqualTwin) {
-  EvalCache cache;
-  Database original = GraphDb(4, {{0, 1}, {1, 2}});
-  const Database twin = GraphDb(4, {{0, 1}, {1, 2}});  // same content
-
-  const auto view = cache.AcquireIndexed(original);
-  (void)view;
-  // The source mutates; the cached entry (keyed by the *old* fingerprint)
-  // would now serve answers over the mutated database. The twin still
-  // fingerprints to the old key, so its lookup lands on the entry — the
-  // version check must invalidate it and rebuild from the twin.
-  original.AddFact(0, {2, 3});
-
-  bool hit = true;
-  const auto fresh = cache.AcquireIndexed(twin, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_NE(fresh.get(), view.get());
-  EXPECT_EQ(cache.stats().index_invalidations, 1);
-  // Catch-up cannot rescue a twin (it would chase the mutated source), so
-  // this is the one remaining full-rebuild path.
-  EXPECT_EQ(cache.stats().index_rebuilds, 1);
-  EXPECT_EQ(EvaluateNaive(EdgeEnumerationCQ(), *fresh).size(), 2u);
 }
 
 TEST(EvalCacheTest, InvalidateDropsEntriesOfOneDatabase) {

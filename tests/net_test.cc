@@ -362,6 +362,24 @@ TEST_F(NetTest, TypedProtocolErrors) {
   ASSERT_TRUE(response.has_value());
   EXPECT_FALSE(response->GetBool("ok"));
   EXPECT_EQ(response->Find("error")->GetString("code"), "bad_request");
+  // Integer fields that are negative or past what a 64-bit integer holds
+  // are typed refusals, never an overflowing cast.
+  for (const char* key : {"limit", "max_nodes", "max_answers"}) {
+    for (const double value : {1e19, 1e300, -1.0}) {
+      Json eval = Json::Object();
+      eval.Set("verb", Json::Str("EVAL"));
+      eval.Set("db", Json::Str("demo"));
+      eval.Set("query", Json::Str(kPathQuery));
+      eval.Set(key, Json::Number(value));
+      response = client.Call(std::move(eval));
+      ASSERT_TRUE(response.has_value());
+      EXPECT_FALSE(response->GetBool("ok")) << key << "=" << value;
+      const Json* error = response->Find("error");
+      ASSERT_NE(error, nullptr) << key << "=" << value;
+      EXPECT_EQ(error->GetString("code"), "bad_request")
+          << key << "=" << value;
+    }
+  }
 }
 
 // Request limits ride the wire onto the PR-6 cancellation path: an
@@ -384,6 +402,16 @@ TEST_F(NetTest, EvalLimitsRideTheWire) {
               expected.end());
   }
   EXPECT_LT(result->answers.rows.size(), expected.size());
+
+  // A deadline too far out for the clock (1e13 ms, about 317 years) acts
+  // as no deadline: the request completes exactly.
+  params.max_answers = 0;
+  params.deadline_ms = 1e13;
+  result = client.Eval(params);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, "ok");
+  EXPECT_TRUE(result->exact);
+  EXPECT_EQ(result->answers.rows, expected);
 }
 
 // One tenant exhausting its quota gets the typed rejection while another
