@@ -1,16 +1,19 @@
 // Batch-evaluation throughput: the planner-driven QueryService fanning a
 // mixed CQ workload across a thread pool, versus sequential evaluation of
-// the same jobs; plus a scan-vs-index series running each engine over the
-// same forced-engine workload with indexing off and on (the answers must be
+// the same jobs; plus a scan-vs-index series running each engine directly
+// over its own workload with indexing off and on (the answers must be
 // identical — the speedup column is the point of the RelationIndex layer).
 // Pass --quick for a reduced run (CI smoke test) and --csv <path> to mirror
 // all tables into a CSV artifact.
 
+#include <memory>
 #include <vector>
 
 #include "base/rng.h"
 #include "bench_util.h"
 #include "data/generators.h"
+#include "data/index.h"
+#include "eval/engine.h"
 #include "eval/service.h"
 #include "gadgets/intro.h"
 #include "gadgets/workloads.h"
@@ -119,8 +122,8 @@ void RunScanVsIndex(bool quick) {
   using bench::Fmt;
   bench::SetCsvSection("scan_vs_index");
   std::printf(
-      "\nScan vs indexed evaluation, per engine (forced), 1 thread.\n"
-      "Same jobs, indexing off/on; answers must be identical.\n\n");
+      "\nScan vs indexed evaluation, per engine (called directly), 1 "
+      "thread.\nSame queries, indexing off/on; answers must be identical.\n\n");
 
   Rng rng(4242);
   const int n = quick ? 130 : 400;
@@ -132,85 +135,84 @@ void RunScanVsIndex(bool quick) {
 
   struct Series {
     EngineKind kind;
-    std::vector<EvalRequest> jobs;
+    const Database* db;
+    std::vector<ConjunctiveQuery> queries;
   };
   std::vector<Series> series;
   {
-    Series s{EngineKind::kNaive, {}};
+    Series s{EngineKind::kNaive, &db, {}};
     const int num = quick ? 6 : 16;
-    for (int i = 0; i < num; ++i) s.jobs.push_back({TriangleOutputCQ(), &db});
+    for (int i = 0; i < num; ++i) s.queries.push_back(TriangleOutputCQ());
     series.push_back(std::move(s));
   }
   {
-    Series s{EngineKind::kYannakakis, {}};
+    Series s{EngineKind::kYannakakis, &db, {}};
     const int num = quick ? 24 : 64;
     for (int i = 0; i < num; ++i) {
       switch (i % 4) {
         case 0:
-          s.jobs.push_back({StarQuery(2), &db});
+          s.queries.push_back(StarQuery(2));
           break;
         case 1:
-          s.jobs.push_back({StarQuery(3), &db});
+          s.queries.push_back(StarQuery(3));
           break;
         case 2:
-          s.jobs.push_back({StarQuery(4), &db});
+          s.queries.push_back(StarQuery(4));
           break;
         default:
-          s.jobs.push_back({PathQuery(4, 1), &db});
+          s.queries.push_back(PathQuery(4, 1));
           break;
       }
     }
     series.push_back(std::move(s));
   }
   {
-    Series s{EngineKind::kTreewidth, {}};
+    Series s{EngineKind::kTreewidth, &db_tw, {}};
     const int num = quick ? 3 : 8;
     for (int i = 0; i < num; ++i) {
-      s.jobs.push_back({RandomCyclicGraphCQ(3, 1, &rng), &db_tw});
+      s.queries.push_back(RandomCyclicGraphCQ(3, 1, &rng));
     }
     series.push_back(std::move(s));
   }
 
   std::printf("database: %d elements, %lld facts (treewidth: %d / %lld)\n\n",
               n, db.NumFacts(), n_tw, db_tw.NumFacts());
-  // No plan_hits column here: forced-engine runs bypass the planner (and
-  // hence the plan cache) entirely; see the thread-scaling table for it.
   bench::PrintRow({"engine", "mode", "jobs", "wall_ms", "speedup", "probes",
                    "hits", "identical"},
                   12);
   bench::PrintRule(8, 12);
 
   for (const Series& s : series) {
-    EvalOptions scan_opts;
-    scan_opts.num_threads = 1;
-    scan_opts.forced_engine = s.kind;
-    scan_opts.engine.use_index = false;
-    BatchStats scan_stats;
-    const auto scan = QueryService(scan_opts).EvaluateBatch(s.jobs, &scan_stats);
-
-    EvalOptions idx_opts = scan_opts;
-    idx_opts.engine.use_index = true;
-    BatchStats idx_stats;
-    const auto indexed = QueryService(idx_opts).EvaluateBatch(s.jobs, &idx_stats);
+    const std::unique_ptr<Engine> engine = MakeEngine(s.kind);
+    std::vector<AnswerSet> scan, indexed;
+    const double scan_ms = bench::TimeMs([&] {
+      for (const ConjunctiveQuery& q : s.queries) {
+        scan.push_back(engine->Evaluate(q, *s.db));
+      }
+    });
+    // The view is built inside the timed region: index builds count.
+    EvalStats idx_stats;
+    const double idx_ms = bench::TimeMs([&] {
+      const IndexedDatabase view(*s.db);
+      for (const ConjunctiveQuery& q : s.queries) {
+        indexed.push_back(engine->Evaluate(q, view, &idx_stats));
+      }
+    });
 
     bool identical = scan.size() == indexed.size();
     for (size_t i = 0; identical && i < scan.size(); ++i) {
-      identical = scan[i].answers == indexed[i].answers;
+      identical = scan[i] == indexed[i];
     }
     g_all_identical &= identical;
-    const double speedup =
-        idx_stats.wall_ms > 1e-9 ? scan_stats.wall_ms / idx_stats.wall_ms
-                                 : 0.0;
-    bench::PrintRow({EngineKindName(s.kind), "scan",
-                     Fmt(static_cast<int>(s.jobs.size())),
-                     Fmt(scan_stats.wall_ms), "1.00", "0", "0", "ref"},
+    const double speedup = idx_ms > 1e-9 ? scan_ms / idx_ms : 0.0;
+    const int jobs = static_cast<int>(s.queries.size());
+    bench::PrintRow({EngineKindName(s.kind), "scan", Fmt(jobs), Fmt(scan_ms),
+                     "1.00", "0", "0", "ref"},
                     12);
-    bench::PrintRow(
-        {EngineKindName(s.kind), "indexed",
-         Fmt(static_cast<int>(s.jobs.size())), Fmt(idx_stats.wall_ms),
-         Fmt(speedup), Fmt(idx_stats.eval.index_probes),
-         Fmt(idx_stats.eval.index_hits), identical ? "yes" : "NO"},
-        12);
+    bench::PrintRow({EngineKindName(s.kind), "indexed", Fmt(jobs),
+                     Fmt(idx_ms), Fmt(speedup), Fmt(idx_stats.index_probes),
+                     Fmt(idx_stats.index_hits), identical ? "yes" : "NO"},
+                    12);
   }
 }
 

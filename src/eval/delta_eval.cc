@@ -6,47 +6,6 @@
 #include "base/check.h"
 
 namespace cqa {
-namespace {
-
-// Greedy connected trial order with a pre-bound seed set: repeatedly pick
-// the atom with the most already-bound slot occurrences (ties to the lowest
-// index) — GreedyProbeOrder's policy, generalized to a nonempty initial
-// bound set (the pinned atom's variables).
-std::vector<ProbeAtom> OrderSeeded(std::vector<ProbeAtom> atoms,
-                                   std::vector<bool> bound) {
-  std::vector<ProbeAtom> out;
-  out.reserve(atoms.size());
-  std::vector<bool> used(atoms.size(), false);
-  for (size_t step = 0; step < atoms.size(); ++step) {
-    int best = -1;
-    int best_score = -1;
-    for (size_t j = 0; j < atoms.size(); ++j) {
-      if (used[j]) continue;
-      int score = 0;
-      for (const int s : atoms[j].slots) {
-        if (bound[s]) ++score;
-      }
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<int>(j);
-      }
-    }
-    used[best] = true;
-    for (const int s : atoms[best].slots) bound[s] = true;
-    out.push_back(std::move(atoms[best]));
-  }
-  return out;
-}
-
-AnswerSet EvaluateSub(const ConjunctiveQuery& q, EngineKind kind,
-                      const Database& db, const IndexedDatabase* idb,
-                      EvalStats* stats, const EvalContext* ctx) {
-  const std::unique_ptr<Engine> engine = MakeEngine(kind);
-  return idb != nullptr ? engine->Evaluate(q, *idb, stats, ctx)
-                        : engine->Evaluate(q, db, stats, ctx);
-}
-
-}  // namespace
 
 DeltaEvaluator::DeltaEvaluator(const ConjunctiveQuery& q, const Database& db,
                                const IndexedDatabase* idb, EvalStats* stats,
@@ -68,8 +27,8 @@ DeltaEvaluator::DeltaEvaluator(const ConjunctiveQuery& q, const Database& db,
     SeededSearch seed;
     seed.seed_vars = atoms[i].vars;
     seed.search = std::make_unique<ProbeBacktracker>(
-        OrderSeeded(std::move(rest), bound), q.num_variables(), bound, db,
-        idb, stats, ctx);
+        GreedyProbeOrder(std::move(rest), bound), q.num_variables(), bound,
+        db, idb, stats, ctx);
     seeds_.push_back(std::move(seed));
   }
 }
@@ -130,199 +89,6 @@ AnswerSet DeltaEvaluateQuery(const ConjunctiveQuery& q, const Database& db,
     stats->delta_facts += applied;
   }
   return out;
-}
-
-StandingQueryState::StandingQueryState(ConjunctiveQuery query, AnswerMode mode,
-                                       PlanDecision plan)
-    : query_(std::move(query)),
-      mode_(mode),
-      plan_(std::move(plan)),
-      arity_(static_cast<int>(query_.free_variables().size())),
-      certain_(arity_),
-      possible_(arity_) {
-  over_parts_.reserve(plan_.over.size());
-  for (size_t j = 0; j < plan_.over.size(); ++j) {
-    over_parts_.emplace_back(arity_);
-  }
-}
-
-bool StandingQueryState::Initialize(const Database& db,
-                                    const IndexedDatabase* idb,
-                                    EvalStats* stats, const EvalContext* ctx) {
-  initialized_ = false;
-  over_valid_ = false;
-  if (!plan_.approximate) {
-    const AnswerSet result =
-        EvaluateSub(query_, plan_.kind, db, idb, stats, ctx);
-    // Keep partial results of an interrupted run: they are proven answers
-    // and insertions never remove one (monotonicity), so merging in is
-    // sound — the re-run on the next tick completes the set.
-    for (const Tuple& t : result.tuples()) certain_.Insert(t);
-    if (ctx != nullptr && !ctx->ok()) return false;
-    initialized_ = true;
-    over_valid_ = true;  // the sandwich collapses: possible() == certain()
-    return true;
-  }
-  for (const ApproxSubPlan& sub : plan_.under) {
-    const AnswerSet result =
-        EvaluateSub(sub.query, sub.kind, db, idb, stats, ctx);
-    for (const Tuple& t : result.tuples()) certain_.Insert(t);
-    if (ctx != nullptr && !ctx->ok()) return false;
-  }
-  // The over side is all-or-nothing: a partially evaluated over rewrite is
-  // an under-approximation of it, and intersecting with one would drop
-  // possible answers. Rebuild every part completely or leave over_valid_
-  // false for this tick.
-  std::vector<AnswerSet> parts;
-  parts.reserve(plan_.over.size());
-  for (const ApproxSubPlan& sub : plan_.over) {
-    parts.push_back(EvaluateSub(sub.query, sub.kind, db, idb, stats, ctx));
-    if (ctx != nullptr && !ctx->ok()) return false;
-  }
-  over_parts_ = std::move(parts);
-  if (!over_parts_.empty()) {
-    // possible_ grows monotonically: each part grew with the database, so
-    // the fresh intersection contains every previously reported possible
-    // answer — merging keeps reported answers stable.
-    for (const Tuple& t : over_parts_[0].tuples()) {
-      bool in_all = true;
-      for (size_t j = 1; j < over_parts_.size(); ++j) {
-        if (!over_parts_[j].Contains(t)) {
-          in_all = false;
-          break;
-        }
-      }
-      if (in_all) possible_.Insert(t);
-    }
-    over_valid_ = true;
-  }
-  initialized_ = true;
-  return true;
-}
-
-StandingQueryState::TickResult StandingQueryState::MakeTick() const {
-  return TickResult(arity_);
-}
-
-bool StandingQueryState::ApplyExact(const Database& db,
-                                    const IndexedDatabase* idb,
-                                    std::span<const DeltaFact> delta,
-                                    EvalStats* stats, const EvalContext* ctx,
-                                    TickResult* tick) {
-  DeltaEvaluator evaluator(query_, db, idb, stats, ctx);
-  for (const DeltaFact& fact : delta) {
-    AnswerSet fresh(arity_);
-    if (!evaluator.ApplyFact(fact, certain_, &fresh)) return false;
-    for (const Tuple& t : fresh.tuples()) {
-      certain_.Insert(t);
-      tick->new_answers.Insert(t);
-    }
-    ++tick->facts_applied;
-  }
-  return true;
-}
-
-bool StandingQueryState::ApplyApproximate(const Database& db,
-                                          const IndexedDatabase* idb,
-                                          std::span<const DeltaFact> delta,
-                                          EvalStats* stats,
-                                          const EvalContext* ctx,
-                                          TickResult* tick) {
-  std::vector<DeltaEvaluator> unders;
-  unders.reserve(plan_.under.size());
-  for (const ApproxSubPlan& sub : plan_.under) {
-    unders.emplace_back(sub.query, db, idb, stats, ctx);
-  }
-  std::vector<DeltaEvaluator> overs;
-  overs.reserve(plan_.over.size());
-  for (const ApproxSubPlan& sub : plan_.over) {
-    overs.emplace_back(sub.query, db, idb, stats, ctx);
-  }
-  for (const DeltaFact& fact : delta) {
-    // Per-fact temporaries: nothing is committed unless the fact processes
-    // completely, so an interruption can never leave the under union or any
-    // over part half-updated.
-    AnswerSet under_fresh(arity_);
-    bool complete = true;
-    for (DeltaEvaluator& evaluator : unders) {
-      if (!evaluator.ApplyFact(fact, certain_, &under_fresh)) {
-        complete = false;
-        break;
-      }
-    }
-    std::vector<AnswerSet> over_fresh;
-    over_fresh.reserve(overs.size());
-    for (size_t j = 0; complete && j < overs.size(); ++j) {
-      over_fresh.emplace_back(arity_);
-      if (!overs[j].ApplyFact(fact, over_parts_[j], &over_fresh[j])) {
-        complete = false;
-      }
-    }
-    if (!complete) return false;
-    for (const Tuple& t : under_fresh.tuples()) {
-      certain_.Insert(t);
-      tick->new_answers.Insert(t);
-    }
-    for (size_t j = 0; j < over_fresh.size(); ++j) {
-      for (const Tuple& t : over_fresh[j].tuples()) over_parts_[j].Insert(t);
-    }
-    // A tuple newly enters the intersection only if some part just gained
-    // it, so the fresh sets are a complete candidate list.
-    for (size_t j = 0; j < over_fresh.size(); ++j) {
-      for (const Tuple& t : over_fresh[j].tuples()) {
-        if (possible_.Contains(t)) continue;
-        bool in_all = true;
-        for (const AnswerSet& part : over_parts_) {
-          if (!part.Contains(t)) {
-            in_all = false;
-            break;
-          }
-        }
-        if (in_all) {
-          possible_.Insert(t);
-          tick->new_possible.Insert(t);
-        }
-      }
-    }
-    ++tick->facts_applied;
-  }
-  return true;
-}
-
-StandingQueryState::TickResult StandingQueryState::Apply(
-    const Database& db, const IndexedDatabase* idb,
-    std::span<const DeltaFact> delta, EvalStats* stats,
-    const EvalContext* ctx) {
-  TickResult tick = MakeTick();
-  if (stats != nullptr) ++stats->delta_ticks;
-  if (!initialized_) {
-    // First tick, or a previous tick was interrupted mid-initialization:
-    // run the full evaluation and report the diff against what was already
-    // reported (certain_/possible_ only ever grow, so the diff is sound).
-    const AnswerSet certain_before = certain_;
-    const AnswerSet possible_before = possible();
-    tick.reinitialized = true;
-    const bool ok = Initialize(db, idb, stats, ctx);
-    for (const Tuple& t : certain_.tuples()) {
-      if (!certain_before.Contains(t)) tick.new_answers.Insert(t);
-    }
-    for (const Tuple& t : possible().tuples()) {
-      if (!possible_before.Contains(t)) tick.new_possible.Insert(t);
-    }
-    tick.facts_applied = ok ? delta.size() : 0;
-  } else if (plan_.approximate) {
-    ApplyApproximate(db, idb, delta, stats, ctx, &tick);
-  } else {
-    ApplyExact(db, idb, delta, stats, ctx, &tick);
-    for (const Tuple& t : tick.new_answers.tuples()) {
-      tick.new_possible.Insert(t);  // exact plans: the sandwich collapses
-    }
-  }
-  if (stats != nullptr) {
-    stats->delta_facts += static_cast<long long>(tick.facts_applied);
-  }
-  tick.status = ctx != nullptr ? ctx->status() : ResponseStatus::kOk;
-  return tick;
 }
 
 }  // namespace cqa

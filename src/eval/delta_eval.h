@@ -21,16 +21,16 @@
 // are CQs themselves, so insertions only grow the union of under-rewrites
 // (certain answers) and only grow the intersection of over-rewrites
 // (possible answers — intersections of growing sets grow). Bounds deltas
-// are therefore pure additions: StandingQueryState maintains both sides
-// incrementally and reports per-tick additions only.
+// are therefore pure additions: a Subscription (eval/service.h) maintains
+// both sides incrementally, one DeltaEvaluator per rewrite, and reports
+// per-tick additions only.
 //
 // Interruption contract (same soundly-partial rules as eval/eval_context.h):
-// delta application commits fact by fact. A tick interrupted mid-fact
-// discards that fact's partial temporaries and reports how many facts fully
-// committed — reported deltas are always genuine answers, and uncommitted
-// facts are simply re-applied on the next tick. An interrupted over-side
-// update would make the intersection under-complete, so over state is only
-// ever committed for fully processed facts.
+// ApplyFact reports a fact interrupted mid-way, and its caller commits fact
+// by fact: a tick interrupted mid-fact discards that fact's partial
+// temporaries and reports how many facts fully committed — reported deltas
+// are always genuine answers, and uncommitted facts are simply re-applied
+// on the next tick.
 
 #ifndef CQA_EVAL_DELTA_EVAL_H_
 #define CQA_EVAL_DELTA_EVAL_H_
@@ -43,7 +43,6 @@
 #include "data/database.h"
 #include "data/index.h"
 #include "eval/answer_set.h"
-#include "eval/engine.h"
 #include "eval/eval_context.h"
 #include "eval/eval_stats.h"
 #include "eval/probe_core.h"
@@ -97,87 +96,6 @@ AnswerSet DeltaEvaluateQuery(const ConjunctiveQuery& q, const Database& db,
                              const AnswerSet& existing,
                              EvalStats* stats = nullptr,
                              const EvalContext* ctx = nullptr);
-
-/// The maintained state of one standing query in one AnswerMode: the
-/// certain side (exact answers, or the union of under-rewrites) and the
-/// possible side (the intersection of over-rewrites) of the plan, kept
-/// current fact-by-fact. Not thread-safe; the owner (Subscription)
-/// serializes access.
-class StandingQueryState {
- public:
-  /// `plan` must be the decision PlanQuery made for (`query`, `mode`).
-  StandingQueryState(ConjunctiveQuery query, AnswerMode mode,
-                     PlanDecision plan);
-
-  /// Full from-scratch evaluation (the subscription's baseline). Partial
-  /// results of an interrupted run are kept — they are sound and monotone —
-  /// but the state stays uninitialized and the next Apply re-runs this.
-  /// Returns initialized().
-  bool Initialize(const Database& db, const IndexedDatabase* idb,
-                  EvalStats* stats = nullptr, const EvalContext* ctx = nullptr);
-
-  /// One maintenance tick.
-  struct TickResult {
-    explicit TickResult(int arity) : new_answers(arity), new_possible(arity) {}
-    ResponseStatus status = ResponseStatus::kOk;
-    size_t facts_applied = 0;    ///< fully committed prefix of `delta`
-    bool reinitialized = false;  ///< tick ran Initialize instead of deltas
-    AnswerSet new_answers;       ///< additions to certain()
-    AnswerSet new_possible;      ///< additions to possible()
-  };
-
-  /// Applies `delta` (facts already inserted into `db`), committing fact by
-  /// fact; on interruption the partially processed fact is rolled back and
-  /// facts_applied reports the committed prefix. When the state is not
-  /// initialized (first tick, or a previous interruption), the tick instead
-  /// re-runs Initialize and reports the full diff; facts_applied is then
-  /// delta.size() on success and 0 on another interruption.
-  TickResult Apply(const Database& db, const IndexedDatabase* idb,
-                   std::span<const DeltaFact> delta,
-                   EvalStats* stats = nullptr,
-                   const EvalContext* ctx = nullptr);
-
-  const ConjunctiveQuery& query() const { return query_; }
-  AnswerMode mode() const { return mode_; }
-  const PlanDecision& plan() const { return plan_; }
-  int arity() const { return arity_; }
-
-  /// True after a complete Initialize with no interruption since.
-  bool initialized() const { return initialized_; }
-
-  /// The certain side: always ⊆ Q(D), complete when initialized() and the
-  /// plan is exact (or the exhaustive union of under-rewrites otherwise).
-  const AnswerSet& certain() const { return certain_; }
-
-  /// The possible side: ⊇ Q(D) when over_valid(). For exact plans this is
-  /// certain() (the sandwich collapses).
-  const AnswerSet& possible() const {
-    return plan_.approximate ? possible_ : certain_;
-  }
-
-  /// False while an interruption has left the over side incomplete (an
-  /// under-complete intersection is not a sound over-approximation).
-  bool over_valid() const { return over_valid_; }
-
- private:
-  TickResult MakeTick() const;
-  bool ApplyExact(const Database& db, const IndexedDatabase* idb,
-                  std::span<const DeltaFact> delta, EvalStats* stats,
-                  const EvalContext* ctx, TickResult* tick);
-  bool ApplyApproximate(const Database& db, const IndexedDatabase* idb,
-                        std::span<const DeltaFact> delta, EvalStats* stats,
-                        const EvalContext* ctx, TickResult* tick);
-
-  ConjunctiveQuery query_;
-  AnswerMode mode_;
-  PlanDecision plan_;
-  int arity_;
-  bool initialized_ = false;
-  bool over_valid_ = false;
-  AnswerSet certain_;
-  AnswerSet possible_;                    // approximate plans only
-  std::vector<AnswerSet> over_parts_;     // one per plan_.over rewrite
-};
 
 }  // namespace cqa
 

@@ -161,11 +161,6 @@ class EvalContext {
   }
   bool ok() const { return status() == ResponseStatus::kOk; }
 
-  /// Total Interrupted() polls so far (the node-budget meter).
-  long long nodes_polled() const {
-    return nodes_.load(std::memory_order_relaxed);
-  }
-
  private:
   static constexpr long long kClockCheckInterval = 256;
 

@@ -14,8 +14,9 @@ struct EvalStats {
   long long index_hits = 0;    ///< probes that found a nonempty bucket
   long long index_builds = 0;  ///< index/projection builds this run caused
   long long table_reuses = 0;  ///< cached projections/columns reused
-  /// Incremental-maintenance ticks (StandingQueryState::Apply calls) and
-  /// delta facts pushed through them (eval/delta_eval.h); 0 on full runs.
+  /// Incremental-maintenance ticks (Subscription::Poll calls, eval/
+  /// service.h) and delta facts they committed (DeltaEvaluateQuery counts
+  /// its call as one tick); 0 on full runs.
   long long delta_ticks = 0;
   long long delta_facts = 0;
 

@@ -9,18 +9,15 @@ namespace cqa {
 namespace {
 
 // The query's atoms as probe atoms (slot = variable id), in the greedy
-// connected trial order.
+// connected trial order from no bound variable.
 std::vector<ProbeAtom> OrderedProbeAtoms(const ConjunctiveQuery& q) {
   std::vector<ProbeAtom> atoms;
   atoms.reserve(q.atoms().size());
   for (const Atom& atom : q.atoms()) {
     atoms.push_back(ProbeAtom{atom.rel, atom.vars});
   }
-  const std::vector<int> order = GreedyProbeOrder(atoms, q.num_variables());
-  std::vector<ProbeAtom> ordered;
-  ordered.reserve(atoms.size());
-  for (const int i : order) ordered.push_back(std::move(atoms[i]));
-  return ordered;
+  return GreedyProbeOrder(std::move(atoms),
+                          std::vector<bool>(q.num_variables(), false));
 }
 
 AnswerSet RunNaive(const ConjunctiveQuery& q, const Database& db,

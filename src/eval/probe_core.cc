@@ -6,30 +6,28 @@
 
 namespace cqa {
 
-std::vector<int> GreedyProbeOrder(const std::vector<ProbeAtom>& atoms,
-                                  int num_slots) {
-  const int m = static_cast<int>(atoms.size());
-  std::vector<bool> used(m, false);
-  std::vector<bool> bound(num_slots, false);
-  std::vector<int> order;
-  order.reserve(m);
-  for (int step = 0; step < m; ++step) {
-    int best = -1;
+std::vector<ProbeAtom> GreedyProbeOrder(std::vector<ProbeAtom> atoms,
+                                        std::vector<bool> bound) {
+  std::vector<ProbeAtom> order;
+  order.reserve(atoms.size());
+  std::vector<bool> used(atoms.size(), false);
+  for (size_t step = 0; step < atoms.size(); ++step) {
+    size_t best = 0;
     int best_score = -1;
-    for (int i = 0; i < m; ++i) {
+    for (size_t i = 0; i < atoms.size(); ++i) {
       if (used[i]) continue;
       int score = 0;
       for (const int s : atoms[i].slots) {
-        if (bound[s]) score += 2;
+        if (bound[s]) ++score;
       }
-      if (best < 0 || score > best_score) {
+      if (score > best_score) {
         best = i;
         best_score = score;
       }
     }
     used[best] = true;
-    order.push_back(best);
     for (const int s : atoms[best].slots) bound[s] = true;
+    order.push_back(std::move(atoms[best]));
   }
   return order;
 }

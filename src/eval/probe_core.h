@@ -50,13 +50,15 @@ struct ProbeAtom {
   std::vector<int> slots;
 };
 
-/// Greedy connected trial order over `atoms`: repeatedly pick the atom whose
-/// slot list has the most occurrences already bound (ties to the lowest
-/// index), then mark its slots bound. This is the atom order both the naive
-/// engine and the treewidth bag materialization used; keeping one copy keeps
-/// their search trees — and their stats — reproducible.
-std::vector<int> GreedyProbeOrder(const std::vector<ProbeAtom>& atoms,
-                                  int num_slots);
+/// Greedy connected trial order: `atoms` reordered by repeatedly picking the
+/// atom whose slot list has the most occurrences already bound (ties to the
+/// lowest index), then marking its slots bound. `bound[s]` says slot s is
+/// bound on entry (its size is the slot count). The naive engine, the
+/// treewidth bag materialization and the seeded delta searches all order
+/// their atoms here; keeping one copy keeps their search trees — and their
+/// stats — reproducible.
+std::vector<ProbeAtom> GreedyProbeOrder(std::vector<ProbeAtom> atoms,
+                                        std::vector<bool> bound);
 
 /// Depth-first search over `atoms` (in the given trial order) against the
 /// facts of `db`: at depth d, every fact of atoms[d].rel consistent with the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <unordered_map>
 #include <utility>
 
@@ -38,50 +39,54 @@ struct EngineSet {
   std::unique_ptr<Engine> engines[3];
 };
 
-AnswerSet EvaluateSubPlan(const ApproxSubPlan& sub, const EngineSet& engines,
-                          const IndexedDatabase* idb, const Database& db,
-                          EvalStats* stats, const EvalContext* ctx) {
-  const Engine& engine = engines.For(sub.kind);
-  return idb != nullptr ? engine.Evaluate(sub.query, *idb, stats, ctx)
-                        : engine.Evaluate(sub.query, db, stats, ctx);
-}
+// What the plan runner computed on one view: the certain side, and one
+// answer set per over rewrite (intersect them for the possible side).
+struct PlanRun {
+  AnswerSet certain;
+  /// Every over rewrite's complete answers, or empty when the run was
+  /// interrupted first: an interrupted part is a subset of its rewrite, and
+  /// intersecting with it could drop genuine answers.
+  std::vector<AnswerSet> over_parts;
+};
 
-// Certain answers: the union of the maximally contained rewrites. Each
-// rewrite Q' satisfies Q' ⊆ Q, so every tuple is a genuine answer — and an
+// The plan runner, shared by every request and by a subscription's baseline
+// tick. The certain side is the exact query itself on plan.kind for an
+// exact plan, else the union of the maximally contained rewrites: each
+// rewrite Q' satisfies Q' ⊆ Q, so every tuple is a genuine answer, and an
 // interrupted partial union (fewer rewrites, each a partial subset) still
-// is: the under side stays sound under every interruption.
-AnswerSet UnionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
-                          const EngineSet& engines,
-                          const IndexedDatabase* idb, const Database& db,
-                          int arity, EvalStats* stats,
-                          const EvalContext* ctx) {
-  AnswerSet result(arity);
-  for (const ApproxSubPlan& sub : subs) {
-    if (ctx != nullptr && !ctx->ok()) break;
-    const AnswerSet part = EvaluateSubPlan(sub, engines, idb, db, stats, ctx);
-    for (const Tuple& t : part.tuples()) result.Insert(t);
+// is. Then the containing rewrites (Q ⊆ Q'') are evaluated one by one. The
+// run stops at the first interruption; `idb` null means the scan path.
+PlanRun RunPlan(const ConjunctiveQuery& query, const PlanDecision& plan,
+                const EngineSet& engines, const Database& db,
+                const IndexedDatabase* idb, EvalStats* stats,
+                const EvalContext* ctx) {
+  const auto evaluate = [&](const ConjunctiveQuery& q, EngineKind kind) {
+    const Engine& engine = engines.For(kind);
+    return idb != nullptr ? engine.Evaluate(q, *idb, stats, ctx)
+                          : engine.Evaluate(q, db, stats, ctx);
+  };
+  const auto live = [&] { return ctx == nullptr || ctx->ok(); };
+  if (!plan.approximate) return PlanRun{evaluate(query, plan.kind), {}};
+  PlanRun run{AnswerSet(static_cast<int>(query.free_variables().size())),
+              {}};
+  for (const ApproxSubPlan& sub : plan.under) {
+    if (!live()) break;
+    const AnswerSet part = evaluate(sub.query, sub.kind);
+    for (const Tuple& t : part.tuples()) run.certain.Insert(t);
   }
-  return result;
+  for (const ApproxSubPlan& sub : plan.over) {
+    if (!live()) break;
+    run.over_parts.push_back(evaluate(sub.query, sub.kind));
+  }
+  if (!live()) run.over_parts.clear();
+  return run;
 }
 
-// Possible answers: the intersection of the containing rewrites. Each
-// rewrite Q'' satisfies Q ⊆ Q'', so no genuine answer is ever dropped —
-// but ONLY when every rewrite ran to completion: an interrupted part is a
-// subset of its rewrite, so the intersection may drop genuine answers. The
-// caller marks the over side invalid whenever ctx tripped.
-AnswerSet IntersectionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
-                                 const EngineSet& engines,
-                                 const IndexedDatabase* idb, const Database& db,
-                                 int arity, EvalStats* stats,
-                                 const EvalContext* ctx) {
-  std::vector<AnswerSet> parts;
-  parts.reserve(subs.size());
-  for (const ApproxSubPlan& sub : subs) {
-    if (ctx != nullptr && !ctx->ok()) break;
-    parts.push_back(EvaluateSubPlan(sub, engines, idb, db, stats, ctx));
-  }
+// Possible answers: the intersection of the containing rewrites' answers.
+// Each rewrite Q'' satisfies Q ⊆ Q'', so no genuine answer is dropped.
+AnswerSet IntersectionOf(const std::vector<AnswerSet>& parts, int arity) {
   AnswerSet result(arity);
-  if (parts.empty() || parts.size() != subs.size()) return result;
+  if (parts.empty()) return result;
   for (const Tuple& t : parts[0].tuples()) {
     bool in_all = true;
     for (size_t i = 1; i < parts.size() && in_all; ++i) {
@@ -93,9 +98,7 @@ AnswerSet IntersectionOfSubPlans(const std::vector<ApproxSubPlan>& subs,
 }
 
 // Plans and evaluates one request into `out`. Plans come from `cache`'s
-// single-flight plan tier; `idb` null means the scan path. Approximate
-// plans are answered by their rewrites (union for the under side,
-// intersection for the over side).
+// single-flight plan tier; `idb` null means the scan path.
 void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
                     const EngineSet& engines, const IndexedDatabase* idb,
                     EvalCache& cache, const EvalContext* ctx,
@@ -122,71 +125,33 @@ void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
     return;
   }
   const auto plan_start = std::chrono::steady_clock::now();
-  // Forcing an engine is an exact-mode affair: it bypasses the planner and
-  // with it the approximation rule, so approximate-mode requests always go
-  // through planning.
-  if (request.mode == AnswerMode::kExact && options.forced_engine.has_value() &&
-      engines.For(*options.forced_engine).Supports(request.query)) {
-    out->plan.kind = *options.forced_engine;
-    out->plan.reason = "forced by EvalOptions";
-  } else {
-    bool hit = false;
-    const std::shared_ptr<const PlanDecision> plan = cache.GetOrPlan(
-        PlanCacheKey(request.query, options.planner, request.mode),
-        [&] { return PlanQuery(request.query, options.planner, request.mode); },
-        &hit);
-    out->plan = *plan;  // deep copy outside every lock
-    out->plan_source = hit ? PlanSource::kCached : PlanSource::kPlanned;
-  }
+  bool hit = false;
+  const std::shared_ptr<const PlanDecision> plan = cache.GetOrPlan(
+      PlanCacheKey(request.query, options.planner, request.mode),
+      [&] { return PlanQuery(request.query, options.planner, request.mode); },
+      &hit);
+  out->plan = *plan;  // deep copy outside every lock
+  out->plan_source = hit ? PlanSource::kCached : PlanSource::kPlanned;
   out->engine = out->plan.kind;
   out->plan_ms = MsSince(plan_start);
 
   const auto eval_start = std::chrono::steady_clock::now();
-  const Database& db = *request.db;
-  if (!out->plan.approximate) {
-    // Exact evaluation serves every mode; in kBounds the sandwich collapses.
-    const Engine& engine = engines.For(out->engine);
-    out->answers = idb != nullptr
-                       ? engine.Evaluate(request.query, *idb, &out->eval, ctx)
-                       : engine.Evaluate(request.query, db, &out->eval, ctx);
-    out->exact = true;
-    if (request.mode == AnswerMode::kBounds) {
-      AnswerBounds bounds;
-      bounds.under = out->answers;
-      bounds.over = out->answers;
-      out->bounds = std::move(bounds);
-    }
+  PlanRun run = RunPlan(request.query, out->plan, engines, *request.db, idb,
+                        &out->eval, ctx);
+  // Exact evaluation serves every mode; in kBounds the sandwich collapses.
+  out->exact = !out->plan.approximate;
+  if (request.mode == AnswerMode::kOverApproximate && out->plan.approximate) {
+    out->answers = IntersectionOf(run.over_parts, out_arity);
   } else {
-    const int arity = static_cast<int>(request.query.free_variables().size());
-    out->exact = false;
-    switch (request.mode) {
-      case AnswerMode::kUnderApproximate:
-        out->answers = UnionOfSubPlans(out->plan.under, engines, idb, db,
-                                       arity, &out->eval, ctx);
-        break;
-      case AnswerMode::kOverApproximate:
-        out->answers = IntersectionOfSubPlans(out->plan.over, engines, idb,
-                                              db, arity, &out->eval, ctx);
-        break;
-      case AnswerMode::kBounds: {
-        AnswerBounds bounds;
-        bounds.under = UnionOfSubPlans(out->plan.under, engines, idb, db,
-                                       arity, &out->eval, ctx);
-        // The over side is only worth computing while the request is still
-        // live: an interrupted over side is invalid anyway (see below).
-        bounds.over =
-            ctx == nullptr || ctx->ok()
-                ? IntersectionOfSubPlans(out->plan.over, engines, idb, db,
-                                         arity, &out->eval, ctx)
-                : AnswerSet(arity);
-        out->answers = bounds.under;  // the sound (certain) reading
-        out->bounds = std::move(bounds);
-        break;
-      }
-      case AnswerMode::kExact:
-        CQA_CHECK(false);  // the planner never marks exact plans approximate
-        break;
-    }
+    out->answers = std::move(run.certain);  // exact, or the certain answers
+  }
+  if (request.mode == AnswerMode::kBounds) {
+    AnswerBounds bounds;
+    bounds.under = out->answers;
+    bounds.over = out->plan.approximate
+                      ? IntersectionOf(run.over_parts, out_arity)
+                      : out->answers;
+    out->bounds = std::move(bounds);
   }
   out->eval_ms = MsSince(eval_start);
   // Interruption verdict: sticky on the context, stamped on the response.
@@ -429,7 +394,7 @@ void QueryService::WorkerLoop() {
     lock.unlock();
 
     EvalResponse response;
-    bool stopped = false;
+    std::exception_ptr error;
     // The shared_ptr keeps the view alive for the whole request even if the
     // cache evicts it meanwhile. A throw must not escape the worker thread
     // (std::terminate): it travels through the future.
@@ -441,15 +406,20 @@ void QueryService::WorkerLoop() {
       ExecuteRequest(pending.request, options_, engines, view.get(),
                      *serving_cache_, pending.ctx.get(), &response);
       response.degraded = pending.degraded;
-      stopped = response.status != ResponseStatus::kOk;
-      pending.promise.set_value(std::move(response));
     } catch (...) {
-      pending.promise.set_exception(std::current_exception());
+      error = std::current_exception();
     }
 
+    // Count the job before its future becomes ready, so StreamingStats read
+    // after the future resolves includes it.
     lock.lock();
     ++streamed_jobs_;
-    if (stopped) ++stopped_jobs_;
+    if (error != nullptr) {
+      pending.promise.set_exception(error);
+    } else {
+      if (response.status != ResponseStatus::kOk) ++stopped_jobs_;
+      pending.promise.set_value(std::move(response));
+    }
     if (--in_flight_ == 0) idle_cv_.notify_all();
   }
 }
@@ -494,29 +464,27 @@ std::unique_ptr<Subscription> QueryService::Subscribe(EvalRequest request) {
   const std::shared_ptr<const PlanDecision> plan = serving_cache_->GetOrPlan(
       PlanCacheKey(request.query, options_.planner, request.mode),
       [&] { return PlanQuery(request.query, options_.planner, request.mode); });
-  const EvalLimits limits = EvalLimits::Merge(options_.limits, request.limits);
-  auto state = std::make_unique<StandingQueryState>(
-      std::move(request.query), request.mode, *plan);
+  request.limits = EvalLimits::Merge(options_.limits, request.limits);
+  std::shared_ptr<std::mutex> write_mu = WriteMutexFor(request.db);
   // The subscription's view source is the serving cache: its identity
   // catch-up path (eval/cache.h) is what keeps per-tick index maintenance
   // O(delta) instead of a per-tick rebuild.
   return std::unique_ptr<Subscription>(new Subscription(
-      std::move(state), request.db, limits, request.cancel, serving_cache_,
-      options_.engine.use_index, WriteMutexFor(request.db)));
+      std::move(request), *plan,
+      options_.engine.use_index ? serving_cache_ : nullptr,
+      std::move(write_mu)));
 }
 
-Subscription::Subscription(std::unique_ptr<StandingQueryState> state,
-                           const Database* db, EvalLimits limits,
-                           CancelFlag cancel, std::shared_ptr<EvalCache> cache,
-                           bool use_index, std::shared_ptr<std::mutex> write_mu)
-    : db_(db),
-      limits_(limits),
-      cancel_(std::move(cancel)),
+Subscription::Subscription(EvalRequest request, PlanDecision plan,
+                           std::shared_ptr<EvalCache> cache,
+                           std::shared_ptr<std::mutex> write_mu)
+    : request_(std::move(request)),
+      plan_(std::move(plan)),
       cache_(std::move(cache)),
-      use_index_(use_index),
       write_mu_(std::move(write_mu)),
-      state_(std::move(state)),
-      consumed_(db->vocab()->num_relations(), 0) {}
+      consumed_(request_.db->vocab()->num_relations(), 0),
+      certain_(static_cast<int>(request_.query.free_variables().size())),
+      possible_(certain_.arity()) {}
 
 Subscription::~Subscription() = default;
 
@@ -527,18 +495,22 @@ SubscriptionDelta Subscription::Poll() {
   // the cache and view locks nest strictly inside: no cycles.
   std::lock_guard<std::mutex> write_lock(*write_mu_);
   std::lock_guard<std::mutex> state_lock(mu_);
+  const Database& db = *request_.db;
   SubscriptionDelta out;
+  out.new_answers = AnswerSet(certain_.arity());
+  out.new_possible = AnswerSet(certain_.arity());
+  ++out.eval.delta_ticks;
 
   // The view rides the cache's catch-up path: same database object, newer
   // version — appended in place, never rebuilt (EvalCacheStats::
   // index_delta_appends counts it).
   std::shared_ptr<const IndexedDatabase> view;
-  if (use_index_) view = cache_->AcquireIndexed(*db_);
+  if (cache_ != nullptr) view = cache_->AcquireIndexed(db);
 
-  const int num_relations = db_->vocab()->num_relations();
+  const int num_relations = db.vocab()->num_relations();
   std::vector<DeltaFact> delta;
   for (RelationId r = 0; r < num_relations; ++r) {
-    const std::vector<Tuple>& facts = db_->facts(r);
+    const std::vector<Tuple>& facts = db.facts(r);
     for (size_t id = consumed_[r]; id < facts.size(); ++id) {
       delta.push_back(DeltaFact{r, facts[id]});
     }
@@ -547,46 +519,155 @@ SubscriptionDelta Subscription::Poll() {
   // Per-tick interruption token (deadline armed now, covering this tick
   // only); an interrupted tick commits a prefix and the rest stays pending.
   std::optional<EvalContext> ectx;
-  if (limits_.any() || cancel_ != nullptr) ectx.emplace(limits_, cancel_);
-  StandingQueryState::TickResult tick = state_->Apply(
-      *db_, view.get(), delta, &out.eval, ectx.has_value() ? &*ectx : nullptr);
+  if (request_.limits.any() || request_.cancel != nullptr) {
+    ectx.emplace(request_.limits, request_.cancel);
+  }
+  const EvalContext* ctx = ectx.has_value() ? &*ectx : nullptr;
+  if (!initialized_) {
+    // First tick, or an earlier baseline was interrupted: run it again and
+    // report what it adds to the answers reported so far.
+    out.reinitialized = true;
+    if (RunBaseline(view.get(), ctx, &out)) out.facts_applied = delta.size();
+  } else {
+    out.facts_applied = ApplyDelta(delta, view.get(), ctx, &out);
+  }
+  // Exact plans: the sandwich collapses, possible() is certain().
+  if (!plan_.approximate) out.new_possible = out.new_answers;
+  out.eval.delta_facts += static_cast<long long>(out.facts_applied);
+  out.status = ctx != nullptr ? ctx->status() : ResponseStatus::kOk;
 
   // Advance the per-relation cursors over the committed prefix, in the same
   // relation-major order the delta was collected.
-  size_t applied = tick.facts_applied;
+  size_t applied = out.facts_applied;
   for (RelationId r = 0; r < num_relations && applied > 0; ++r) {
-    const size_t pending = db_->facts(r).size() - consumed_[r];
+    const size_t pending = db.facts(r).size() - consumed_[r];
     const size_t take = std::min(applied, pending);
     consumed_[r] += take;
     applied -= take;
   }
-
-  out.status = tick.status;
-  out.facts_applied = tick.facts_applied;
-  out.reinitialized = tick.reinitialized;
-  out.new_answers = std::move(tick.new_answers);
-  out.new_possible = std::move(tick.new_possible);
-  bool all_consumed = state_->initialized();
-  for (RelationId r = 0; r < num_relations && all_consumed; ++r) {
-    all_consumed = consumed_[r] == db_->facts(r).size();
-  }
-  out.caught_up = all_consumed;
+  out.caught_up = CaughtUpLocked();
   return out;
+}
+
+bool Subscription::RunBaseline(const IndexedDatabase* idb,
+                               const EvalContext* ctx,
+                               SubscriptionDelta* out) {
+  const EngineSet engines;
+  PlanRun run = RunPlan(request_.query, plan_, engines, *request_.db, idb,
+                        &out->eval, ctx);
+  // Partial results of an interrupted run are kept: they are proven answers
+  // and insertions never remove one (monotonicity), so merging them in is
+  // sound, and the next baseline completes the set.
+  for (const Tuple& t : run.certain.tuples()) {
+    if (certain_.Insert(t)) out->new_answers.Insert(t);
+  }
+  if (ctx != nullptr && !ctx->ok()) return false;
+  // The over parts are replaced only by a complete set. Each grew with the
+  // database, so their fresh intersection contains every possible answer
+  // reported before: merging keeps reported answers stable.
+  over_parts_ = std::move(run.over_parts);
+  const AnswerSet possible = IntersectionOf(over_parts_, possible_.arity());
+  for (const Tuple& t : possible.tuples()) {
+    if (possible_.Insert(t)) out->new_possible.Insert(t);
+  }
+  initialized_ = true;
+  return true;
+}
+
+size_t Subscription::ApplyDelta(const std::vector<DeltaFact>& delta,
+                                const IndexedDatabase* idb,
+                                const EvalContext* ctx,
+                                SubscriptionDelta* out) {
+  const Database& db = *request_.db;
+  // An exact plan is the one-rewrite case: its certain side is the query.
+  std::vector<DeltaEvaluator> unders;
+  unders.reserve(plan_.under.size() + 1);
+  if (!plan_.approximate) {
+    unders.emplace_back(request_.query, db, idb, &out->eval, ctx);
+  }
+  for (const ApproxSubPlan& sub : plan_.under) {
+    unders.emplace_back(sub.query, db, idb, &out->eval, ctx);
+  }
+  std::vector<DeltaEvaluator> overs;
+  overs.reserve(plan_.over.size());
+  for (const ApproxSubPlan& sub : plan_.over) {
+    overs.emplace_back(sub.query, db, idb, &out->eval, ctx);
+  }
+  size_t applied = 0;
+  for (const DeltaFact& fact : delta) {
+    // Per-fact temporaries: nothing is committed unless the fact processes
+    // completely, so an interruption never leaves the under union or an
+    // over part half-updated (an under-complete over part would make the
+    // intersection drop possible answers).
+    AnswerSet under_fresh(certain_.arity());
+    bool complete = true;
+    for (DeltaEvaluator& evaluator : unders) {
+      if (!evaluator.ApplyFact(fact, certain_, &under_fresh)) {
+        complete = false;
+        break;
+      }
+    }
+    std::vector<AnswerSet> over_fresh;
+    over_fresh.reserve(overs.size());
+    for (size_t j = 0; complete && j < overs.size(); ++j) {
+      over_fresh.emplace_back(possible_.arity());
+      if (!overs[j].ApplyFact(fact, over_parts_[j], &over_fresh[j])) {
+        complete = false;
+      }
+    }
+    if (!complete) break;
+    for (const Tuple& t : under_fresh.tuples()) {
+      certain_.Insert(t);
+      out->new_answers.Insert(t);
+    }
+    for (size_t j = 0; j < over_fresh.size(); ++j) {
+      for (const Tuple& t : over_fresh[j].tuples()) over_parts_[j].Insert(t);
+    }
+    // A tuple newly enters the intersection only if some part just gained
+    // it, so the fresh sets are a complete candidate list.
+    for (const AnswerSet& fresh : over_fresh) {
+      for (const Tuple& t : fresh.tuples()) {
+        if (possible_.Contains(t)) continue;
+        bool in_all = true;
+        for (const AnswerSet& part : over_parts_) {
+          if (!part.Contains(t)) {
+            in_all = false;
+            break;
+          }
+        }
+        if (in_all) {
+          possible_.Insert(t);
+          out->new_possible.Insert(t);
+        }
+      }
+    }
+    ++applied;
+  }
+  return applied;
+}
+
+bool Subscription::CaughtUpLocked() const {
+  if (!initialized_) return false;
+  const int num_relations = request_.db->vocab()->num_relations();
+  for (RelationId r = 0; r < num_relations; ++r) {
+    if (consumed_[r] != request_.db->facts(r).size()) return false;
+  }
+  return true;
 }
 
 AnswerSet Subscription::answers() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return state_->certain();
+  return certain_;
 }
 
 AnswerSet Subscription::possible() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return state_->possible();
+  return plan_.approximate ? possible_ : certain_;
 }
 
 bool Subscription::over_valid() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return state_->over_valid();
+  return initialized_ && (!plan_.approximate || !plan_.over.empty());
 }
 
 bool Subscription::caught_up() const {
@@ -594,16 +675,7 @@ bool Subscription::caught_up() const {
   // Publish writes them.
   std::lock_guard<std::mutex> write_lock(*write_mu_);
   std::lock_guard<std::mutex> lock(mu_);
-  bool all_consumed = state_->initialized();
-  const int num_relations = db_->vocab()->num_relations();
-  for (RelationId r = 0; r < num_relations && all_consumed; ++r) {
-    all_consumed = consumed_[r] == db_->facts(r).size();
-  }
-  return all_consumed;
+  return CaughtUpLocked();
 }
-
-const ConjunctiveQuery& Subscription::query() const { return state_->query(); }
-AnswerMode Subscription::mode() const { return state_->mode(); }
-const PlanDecision& Subscription::plan() const { return state_->plan(); }
 
 }  // namespace cqa

@@ -11,6 +11,9 @@
 // synthesized TW(width_budget) rewrites, whose synthesis is cached per query
 // shape in the EvalCache plan tier — the one plan tier of every calling
 // convention (EvalCache::GetOrPlan) — so it is paid once across requests.
+// Every request is planned there, and one plan runner (service.cc)
+// evaluates the plan for every calling convention and for a subscription's
+// baseline tick.
 //
 // (The pre-QueryService batch vocabulary — BatchJob/BatchResult/
 // BatchOptions aliases and the deprecated BatchEvaluator forwards — was
@@ -67,8 +70,8 @@
 
 namespace cqa {
 
-class EvalCache;           // eval/cache.h
-class StandingQueryState;  // eval/delta_eval.h
+class EvalCache;   // eval/cache.h
+struct DeltaFact;  // eval/delta_eval.h
 
 /// The consolidated serving options: everything that used to be spread over
 /// EngineOptions, PlannerOptions and the batch knobs, in one struct. The
@@ -78,10 +81,6 @@ class StandingQueryState;  // eval/delta_eval.h
 struct EvalOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   int num_threads = 0;
-  /// When set, every kExact request runs on this engine instead of the
-  /// planner's pick (requests the engine does not Support, and requests in
-  /// approximate modes, fall back to the planner).
-  std::optional<EngineKind> forced_engine;
   /// Planner knobs: width budget + approximation-synthesis limits.
   PlannerOptions planner;
   /// Engine knobs: index on/off.
@@ -187,7 +186,7 @@ struct BatchStats {
   int threads_used = 0;
   /// Requests whose plan the EvalCache plan tier served (PlanSource::
   /// kCached): planned earlier in this batch, by an earlier batch, or by a
-  /// streaming request. Forced-engine requests are never counted.
+  /// streaming request.
   long long plan_hits = 0;
   /// Distinct-database view acquisitions served by serving_cache() (a view
   /// caught up in place counts as served) / built fresh into it.
@@ -305,8 +304,10 @@ struct SubscriptionDelta {
 /// caller must not run AddFact concurrently with Poll.) Deletions are not
 /// supported — the delta algebra is insert-only, matching CQ monotonicity.
 ///
-/// EvalOptions::forced_engine does not apply to subscriptions (delta
-/// seeding drives the shared probe core directly).
+/// The baseline tick answers through the same plan runner as every request
+/// (so it equals Evaluate's answers at that version); later ticks push the
+/// delta through one DeltaEvaluator per rewrite, an exact plan being the
+/// one-rewrite case whose rewrite is the query itself.
 /// Thread-safe: Poll, answers(), possible(), and caught_up() may be called
 /// from different threads.
 class Subscription {
@@ -328,35 +329,50 @@ class Subscription {
   /// over_valid(); equals answers() for exact plans).
   AnswerSet possible() const;
 
-  /// False while an interruption has left the over side incomplete.
+  /// True once a baseline tick has completed and the plan has a possible
+  /// side (an exact plan, or over rewrites). An interrupted baseline leaves
+  /// it false; an interrupted delta tick commits nothing and leaves it true.
   bool over_valid() const;
 
   /// True when every fact inserted before the last Poll has been applied.
   bool caught_up() const;
 
-  const ConjunctiveQuery& query() const;
-  AnswerMode mode() const;
-  const PlanDecision& plan() const;
+  const PlanDecision& plan() const { return plan_; }
 
  private:
   friend class QueryService;
-  Subscription(std::unique_ptr<StandingQueryState> state, const Database* db,
-               EvalLimits limits, CancelFlag cancel,
-               std::shared_ptr<EvalCache> cache, bool use_index,
+  Subscription(EvalRequest request, PlanDecision plan,
+               std::shared_ptr<EvalCache> cache,
                std::shared_ptr<std::mutex> write_mu);
 
-  const Database* db_;
-  EvalLimits limits_;
-  CancelFlag cancel_;
-  std::shared_ptr<EvalCache> cache_;  ///< view source; null = scan path
-  bool use_index_;
+  // Tick steps; the caller holds the write lock and mu_. RunBaseline
+  // returns false when interrupted, ApplyDelta the committed prefix length.
+  bool RunBaseline(const IndexedDatabase* idb, const EvalContext* ctx,
+                   SubscriptionDelta* out);
+  size_t ApplyDelta(const std::vector<DeltaFact>& delta,
+                    const IndexedDatabase* idb, const EvalContext* ctx,
+                    SubscriptionDelta* out);
+  bool CaughtUpLocked() const;
+
+  /// The standing request; its limits already merged with EvalOptions::
+  /// limits (they apply per tick).
+  const EvalRequest request_;
+  const PlanDecision plan_;
+  const std::shared_ptr<EvalCache> cache_;  ///< view source; null = scan path
   /// The database's write lock, shared with QueryService::Publish: held for
   /// the whole tick so the fact vectors are stable while Poll reads them.
-  std::shared_ptr<std::mutex> write_mu_;
+  const std::shared_ptr<std::mutex> write_mu_;
 
-  mutable std::mutex mu_;  ///< guards state_ and consumed_
-  std::unique_ptr<StandingQueryState> state_;
+  mutable std::mutex mu_;  ///< guards the maintained state below
   std::vector<size_t> consumed_;  ///< facts applied, per relation
+  /// True after a complete baseline; stays true (delta ticks commit fact by
+  /// fact, so an interrupted one leaves a consistent state).
+  bool initialized_ = false;
+  /// Exact answers, or the union of the under rewrites.
+  AnswerSet certain_;
+  /// The intersection of over_parts_ (approximate plans only).
+  AnswerSet possible_;
+  std::vector<AnswerSet> over_parts_;  ///< one per plan_.over rewrite
 };
 
 /// The serving facade. One service instance handles blocking, batch, and

@@ -135,11 +135,8 @@ VarTable IndexedBagTable(const std::vector<int>& bag,
     for (const int v : atom->vars) pa.slots.push_back(rank_of(v));
     atoms.push_back(std::move(pa));
   }
-  const std::vector<int> order =
-      GreedyProbeOrder(atoms, static_cast<int>(bag.size()));
-  std::vector<ProbeAtom> ordered;
-  ordered.reserve(atoms.size());
-  for (const int i : order) ordered.push_back(std::move(atoms[i]));
+  std::vector<ProbeAtom> ordered = GreedyProbeOrder(
+      std::move(atoms), std::vector<bool>(bag.size(), false));
 
   // Bag variables no in-bag atom constrains: enumerated from candidates.
   std::vector<bool> covered(bag.size(), false);

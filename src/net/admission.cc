@@ -10,7 +10,12 @@ TenantAdmission::TenantAdmission(AdmissionOptions options)
     : options_(std::move(options)) {
   const auto now = std::chrono::steady_clock::now();
   auto add = [&](TenantConfig config) {
-    if (by_key_.count(config.api_key) > 0) return;  // first registration wins
+    // First registration wins, for keys and for names alike: Release and
+    // stats() find a tenant by name, so two tenants must never share one.
+    if (by_key_.count(config.api_key) > 0 ||
+        by_name_.count(config.name) > 0) {
+      return;
+    }
     if (config.burst <= 0.0 && config.rate_per_sec > 0.0) {
       config.burst = std::max(1.0, config.rate_per_sec);
     }

@@ -29,7 +29,8 @@ struct TenantConfig {
   /// The API key presented on the wire ("api_key" envelope field). Empty
   /// identifies the anonymous tenant (see AdmissionOptions).
   std::string api_key;
-  /// Display name, used in stats and error messages.
+  /// Display name, used in stats and error messages; unique among the
+  /// registered tenants (see AdmissionOptions::tenants).
   std::string name;
   /// Sustained request rate (requests/second) of the token bucket; 0 (or
   /// negative) = unlimited.
@@ -42,7 +43,11 @@ struct TenantConfig {
 };
 
 struct AdmissionOptions {
-  /// Registered tenants, looked up by api_key. Duplicate keys: first wins.
+  /// Registered tenants, looked up by api_key. Keys and names are both
+  /// unique: a tenant whose key or name an earlier registration already
+  /// holds is dropped (first registration wins), so its key is refused as
+  /// unknown. With allow_anonymous, the anonymous tenant registers first,
+  /// under the name "anonymous".
   std::vector<TenantConfig> tenants;
   /// When true, requests without an api_key run as the tenant "anonymous"
   /// with `anonymous_limits` (its api_key/name fields are ignored). When
@@ -109,7 +114,8 @@ class TenantAdmission {
 
   AdmissionOptions options_;
   mutable std::mutex mu_;
-  /// Indexed by registration order; name -> index for Release.
+  /// Indexed by registration order; name -> index for Release (names are
+  /// unique, see AdmissionOptions::tenants).
   std::vector<Tenant> tenants_;
   std::map<std::string, size_t, std::less<>> by_name_;
   std::map<std::string, size_t, std::less<>> by_key_;

@@ -235,7 +235,7 @@ Json CqaServer::Dispatch(const Json& request) {
   }
   const AdmissionGuard guard(&admission_, admit.tenant);
 
-  if (verb == "EVAL") return HandleEval(request, admit.tenant);
+  if (verb == "EVAL") return HandleEval(request);
   if (verb == "FETCH") return HandleFetch(request);
   if (verb == "CLOSE") return HandleClose(request);
   if (verb == "PUBLISH") return HandlePublish(request);
@@ -257,7 +257,7 @@ bool CqaServer::ParseLimit(const Json& request, size_t* limit,
   return true;
 }
 
-Json CqaServer::HandleEval(const Json& request, const std::string& tenant) {
+Json CqaServer::HandleEval(const Json& request) {
   eval_requests_.fetch_add(1, std::memory_order_relaxed);
   const std::string db_name = request.GetString("db");
   DbEntry* entry = FindDb(db_name);
@@ -325,7 +325,7 @@ Json CqaServer::HandleEval(const Json& request, const std::string& tenant) {
   out.Set("more", Json::Bool(more));
   if (more) {
     out.Set("cursor",
-            Json::Str(RegisterCursor(cur.answers, entry, tenant, limit)));
+            Json::Str(RegisterCursor(cur.answers, entry, limit)));
   }
   if (cur.meta.bounds.has_value()) {
     CQA_CHECK(cur.over != nullptr);
@@ -339,7 +339,7 @@ Json CqaServer::HandleEval(const Json& request, const std::string& tenant) {
     out.Set("over_more", Json::Bool(over_more));
     if (over_more) {
       out.Set("over_cursor",
-              Json::Str(RegisterCursor(cur.over, entry, tenant, limit)));
+              Json::Str(RegisterCursor(cur.over, entry, limit)));
     }
   }
   out.Set("plan_ms", Json::Number(cur.meta.plan_ms));
@@ -498,7 +498,6 @@ Json CqaServer::HandlePublish(const Json& request) {
 }
 
 Json CqaServer::HandleStats(const Json&) {
-  stats_requests_.fetch_add(1, std::memory_order_relaxed);
   Json out = Json::Object();
   out.Set("ok", Json::Bool(true));
 
@@ -562,14 +561,13 @@ Json CqaServer::HandleStats(const Json&) {
 
 std::string CqaServer::RegisterCursor(
     std::shared_ptr<const AnswerCursor> cursor, DbEntry* db_entry,
-    const std::string& tenant, size_t offset) {
+    size_t offset) {
   std::lock_guard<std::mutex> lock(cursor_mu_);
   const uint64_t id = next_cursor_id_++;
   cursor_lru_.push_front(id);
   CursorEntry entry;
   entry.cursor = std::move(cursor);
   entry.db_entry = db_entry;
-  entry.tenant = tenant;
   entry.lru_pos = cursor_lru_.begin();
   cursors_.emplace(id, std::move(entry));
   cursors_opened_.fetch_add(1, std::memory_order_relaxed);
@@ -631,7 +629,6 @@ ServerStats CqaServer::stats() const {
   out.eval_requests = eval_requests_.load(std::memory_order_relaxed);
   out.fetch_requests = fetch_requests_.load(std::memory_order_relaxed);
   out.publish_requests = publish_requests_.load(std::memory_order_relaxed);
-  out.stats_requests = stats_requests_.load(std::memory_order_relaxed);
   out.errors = errors_.load(std::memory_order_relaxed);
   out.cursors_opened = cursors_opened_.load(std::memory_order_relaxed);
   out.cursors_invalidated =

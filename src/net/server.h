@@ -129,7 +129,6 @@ struct ServerStats {
   long long eval_requests = 0;
   long long fetch_requests = 0;
   long long publish_requests = 0;
-  long long stats_requests = 0;
   long long errors = 0;  ///< error responses sent
   long long cursors_opened = 0;
   long long cursors_invalidated = 0;  ///< refused after a mutation
@@ -180,7 +179,6 @@ class CqaServer {
   struct CursorEntry {
     std::shared_ptr<const AnswerCursor> cursor;
     DbEntry* db_entry = nullptr;
-    std::string tenant;
     std::list<uint64_t>::iterator lru_pos;
   };
 
@@ -195,7 +193,7 @@ class CqaServer {
   void ReapFinished();
 
   Json Dispatch(const Json& request);
-  Json HandleEval(const Json& request, const std::string& tenant);
+  Json HandleEval(const Json& request);
   Json HandleFetch(const Json& request);
   Json HandleClose(const Json& request);
   Json HandlePublish(const Json& request);
@@ -210,8 +208,7 @@ class CqaServer {
   /// Registers a cursor (evicting LRU entries past max_cursors) and
   /// returns the token for `offset`.
   std::string RegisterCursor(std::shared_ptr<const AnswerCursor> cursor,
-                             DbEntry* db_entry, const std::string& tenant,
-                             size_t offset);
+                             DbEntry* db_entry, size_t offset);
   std::string EncodeToken(uint64_t id, size_t offset) const;
   /// False on a malformed or foreign (checksum-failing) token.
   bool DecodeToken(const std::string& token, uint64_t* id,
@@ -248,7 +245,6 @@ class CqaServer {
   mutable std::atomic<long long> eval_requests_{0};
   mutable std::atomic<long long> fetch_requests_{0};
   mutable std::atomic<long long> publish_requests_{0};
-  mutable std::atomic<long long> stats_requests_{0};
   mutable std::atomic<long long> errors_{0};
   mutable std::atomic<long long> cursors_opened_{0};
   mutable std::atomic<long long> cursors_invalidated_{0};

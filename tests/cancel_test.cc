@@ -19,6 +19,8 @@
 
 #include "base/rng.h"
 #include "data/generators.h"
+#include "data/index.h"
+#include "eval/engine.h"
 #include "eval/eval_context.h"
 #include "eval/naive.h"
 #include "eval/service.h"
@@ -69,36 +71,47 @@ void ExpectSoundlyPartial(const EvalResponse& r, const AnswerSet& exact) {
 // ---------------------------------------------------------------------------
 // The matrix: engines x modes.
 
-// Forced engines cover the three exact paths; the star shape is acyclic, so
+// Each engine, on the scan and the indexed path, stops at an expired
+// deadline with a sound partial result; the star shape is acyclic, so
 // Yannakakis supports it.
 TEST(CancelMatrixTest, ExpiredDeadlineAcrossEngines) {
   const Database db = SmallDenseDb();
+  const IndexedDatabase view(db);
   const ConjunctiveQuery q = StarCQ(2);
   const AnswerSet exact = EvaluateNaive(q, db);
   ASSERT_FALSE(exact.empty());
 
   for (const EngineKind kind : {EngineKind::kNaive, EngineKind::kYannakakis,
                                 EngineKind::kTreewidth}) {
-    EvalOptions opts;
-    opts.num_threads = 1;
-    opts.forced_engine = kind;
-    const QueryService service(opts);
-
-    EvalRequest request{q, &db};
-    request.limits = ExpiredDeadline();
-    BatchStats stats;
-    const auto results = service.EvaluateBatch({request}, &stats);
-    EXPECT_EQ(results[0].status, ResponseStatus::kDeadlineExceeded)
-        << EngineKindName(kind);
-    ExpectSoundlyPartial(results[0], exact);
-    EXPECT_EQ(stats.stopped_jobs, 1);
-
-    // The same request without limits is exact: limits never leak.
-    const EvalResponse full = service.Evaluate({q, &db});
-    EXPECT_EQ(full.status, ResponseStatus::kOk);
-    EXPECT_TRUE(full.exact);
-    EXPECT_TRUE(full.answers == exact);
+    const std::unique_ptr<Engine> engine = MakeEngine(kind);
+    for (const bool indexed : {false, true}) {
+      const EvalContext ctx(ExpiredDeadline());
+      const AnswerSet partial =
+          indexed ? engine->Evaluate(q, view, /*stats=*/nullptr, &ctx)
+                  : engine->Evaluate(q, db, /*stats=*/nullptr, &ctx);
+      EXPECT_EQ(ctx.status(), ResponseStatus::kDeadlineExceeded)
+          << EngineKindName(kind) << (indexed ? " indexed" : " scan");
+      EXPECT_TRUE(partial.IsSubsetOf(exact)) << EngineKindName(kind);
+    }
+    // The same engine without limits is exact: limits never leak.
+    EXPECT_TRUE(engine->Evaluate(q, view) == exact) << EngineKindName(kind);
   }
+
+  // Through the service, the request stops before planning.
+  EvalOptions opts;
+  opts.num_threads = 1;
+  const QueryService service(opts);
+  EvalRequest request{q, &db};
+  request.limits = ExpiredDeadline();
+  BatchStats stats;
+  const auto results = service.EvaluateBatch({request}, &stats);
+  EXPECT_EQ(results[0].status, ResponseStatus::kDeadlineExceeded);
+  ExpectSoundlyPartial(results[0], exact);
+  EXPECT_EQ(stats.stopped_jobs, 1);
+  const EvalResponse full = service.Evaluate({q, &db});
+  EXPECT_EQ(full.status, ResponseStatus::kOk);
+  EXPECT_TRUE(full.exact);
+  EXPECT_TRUE(full.answers == exact);
 }
 
 // All four AnswerModes, on a cyclic width-over-budget query so the

@@ -158,24 +158,6 @@ TEST(PlannerTest, PlannedEngineIsExactOnEveryQuery) {
   }
 }
 
-TEST(EvaluateBatchTest, ForcedEngineIsUsedWhenSupported) {
-  Rng rng(5);
-  const Database db = RandomDigraphDatabase(8, 0.3, &rng);
-  std::vector<EvalRequest> jobs;
-  jobs.push_back({IntroQ1(), &db});        // cyclic: cannot force Yannakakis
-  jobs.push_back({IntroQ2Approx(), &db});  // acyclic: force applies
-  EvalOptions opts;
-  opts.num_threads = 1;
-  opts.forced_engine = EngineKind::kYannakakis;
-  const std::vector<EvalResponse> results =
-      QueryService(opts).EvaluateBatch(jobs);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_NE(results[0].engine, EngineKind::kYannakakis);  // planner fallback
-  EXPECT_EQ(results[1].engine, EngineKind::kYannakakis);
-  EXPECT_TRUE(results[0].answers == EvaluateNaive(IntroQ1(), db));
-  EXPECT_TRUE(results[1].answers == EvaluateNaive(IntroQ2Approx(), db));
-}
-
 TEST(EvaluateBatchTest, StatsAreFilled) {
   Rng rng(11);
   const Database db = RandomDigraphDatabase(10, 0.3, &rng);
@@ -297,18 +279,6 @@ TEST(EvaluateBatchTest, PlanCacheHitsOnRepeatedShapes) {
     EXPECT_TRUE(results[i].answers ==
                 EvaluateNaive(jobs[i].query, *jobs[i].db));
   }
-}
-
-TEST(EvaluateBatchTest, ForcedEngineSkipsPlanCache) {
-  Rng rng(5);
-  const Database db = RandomDigraphDatabase(8, 0.3, &rng);
-  std::vector<EvalRequest> jobs(4, EvalRequest{IntroQ2Approx(), &db});
-  EvalOptions opts;
-  opts.num_threads = 1;
-  opts.forced_engine = EngineKind::kYannakakis;
-  BatchStats stats;
-  QueryService(opts).EvaluateBatch(jobs, &stats);
-  EXPECT_EQ(stats.plan_hits, 0);
 }
 
 }  // namespace

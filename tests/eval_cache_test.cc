@@ -99,21 +99,17 @@ TEST(EvalCacheTest, ContentEqualDatabasesGetTheirOwnViews) {
   EXPECT_EQ(stats.index_entries, 2);
 }
 
-// Every engine, forced through a QueryService over `cache`, answers `q` on
-// `db` exactly as the scan-based naive oracle does.
-void ExpectEveryEngineMatchesOracle(const std::shared_ptr<EvalCache>& cache,
-                                    const ConjunctiveQuery& q,
+// Every engine, on the view `cache` serves for `db`, answers `q` exactly as
+// the scan-based naive oracle does.
+void ExpectEveryEngineMatchesOracle(EvalCache& cache, const ConjunctiveQuery& q,
                                     const Database& db) {
   const AnswerSet oracle = EvaluateNaive(q, db);
+  const std::shared_ptr<const IndexedDatabase> view = cache.AcquireIndexed(db);
+  EXPECT_EQ(&view->db(), &db);
   for (const EngineKind kind : {EngineKind::kNaive, EngineKind::kYannakakis,
                                 EngineKind::kTreewidth}) {
-    EvalOptions opts;
-    opts.num_threads = 1;
-    opts.cache = cache;
-    opts.forced_engine = kind;
-    const EvalResponse r = QueryService(opts).Evaluate({q, &db});
-    EXPECT_EQ(r.engine, kind);
-    EXPECT_TRUE(r.answers == oracle) << EngineKindName(kind);
+    EXPECT_TRUE(MakeEngine(kind)->Evaluate(q, *view) == oracle)
+        << EngineKindName(kind);
   }
 }
 
@@ -121,7 +117,7 @@ void ExpectEveryEngineMatchesOracle(const std::shared_ptr<EvalCache>& cache,
 // version and the counts as they were and changes the facts: the view of
 // the old `a` must not be served for the new one.
 TEST(EvalCacheTest, AssignmentOverACachedDatabaseServesTheNewContent) {
-  auto cache = std::make_shared<EvalCache>();
+  EvalCache cache;
   const ConjunctiveQuery q = EdgeEnumerationCQ();
   Database a = GraphDb(4, {{0, 1}, {1, 2}});
   const Database b = GraphDb(4, {{1, 2}, {2, 3}});
@@ -135,7 +131,7 @@ TEST(EvalCacheTest, AssignmentOverACachedDatabaseServesTheNewContent) {
 // A new database emplaced at the address of a destroyed one the cache has
 // seen, without Invalidate, gets a view of its own content.
 TEST(EvalCacheTest, NewDatabaseAtAFreedAddressServesItsOwnContent) {
-  auto cache = std::make_shared<EvalCache>();
+  EvalCache cache;
   const ConjunctiveQuery q = EdgeEnumerationCQ();
   std::optional<Database> slot;
   slot.emplace(GraphDb(4, {{0, 1}, {1, 2}}));

@@ -12,7 +12,9 @@
 //    subscription state must stay byte-identical to from-scratch evaluation
 //    at every step, and the under/over sides must grow monotonically.
 //  - Edge cases: nullary facts, duplicate inserts, inserts into a
-//    previously empty relation, and cancelled ticks committing nothing.
+//    previously empty relation, and cancelled ticks committing nothing —
+//    an exact plan's delta tick, and an approximate kBounds plan's
+//    baseline and delta ticks.
 
 #include <gtest/gtest.h>
 
@@ -424,6 +426,84 @@ TEST(IncrementalEdgeTest, CancelledTickCommitsNothingAndResumesCleanly) {
   EXPECT_EQ(resumed.facts_applied, 1u);
   EXPECT_TRUE(resumed.caught_up);
   EXPECT_TRUE(sub->answers() == EvaluateNaive(PathQuery(2), db));
+}
+
+// The approximate-plan paths of a standing query: a kBounds subscription on
+// a width-over-budget query (certain side: the union of the under
+// rewrites; possible side: the intersection of the over rewrites),
+// interrupted first in its baseline tick and later in a delta tick.
+TEST(IncrementalEdgeTest, InterruptedApproximateTicksCommitNothingAndResume) {
+  Rng rng(33);
+  const int n = 20;
+  Database db = RandomDigraphDatabase(n, 0.15, &rng);
+  EvalOptions opts;
+  opts.num_threads = 1;
+  opts.planner.width_budget = 1;  // TriangleOutputCQ gets approximated
+  QueryService service(opts);
+  const ConjunctiveQuery q = TriangleOutputCQ();
+
+  const CancelFlag cancel = MakeCancelFlag();
+  EvalRequest request{q, &db, AnswerMode::kBounds};
+  request.cancel = cancel;
+  std::unique_ptr<Subscription> sub = service.Subscribe(std::move(request));
+  ASSERT_TRUE(sub->plan().approximate);
+
+  // A pre-raised flag interrupts the baseline: nothing is applied, the over
+  // side is invalid, and whatever the certain side holds is sound.
+  cancel->store(true);
+  const SubscriptionDelta first = sub->Poll();
+  EXPECT_NE(first.status, ResponseStatus::kOk);
+  EXPECT_TRUE(first.reinitialized);
+  EXPECT_EQ(first.facts_applied, 0u);
+  EXPECT_FALSE(first.caught_up);
+  EXPECT_FALSE(sub->caught_up());
+  EXPECT_FALSE(sub->over_valid());
+  EXPECT_TRUE(sub->answers().IsSubsetOf(EvaluateNaive(q, db)));
+
+  // Lowering the flag, the next Poll reruns the baseline and converges to
+  // Evaluate's bounds.
+  cancel->store(false);
+  const SubscriptionDelta baseline = sub->Poll();
+  EXPECT_EQ(baseline.status, ResponseStatus::kOk);
+  EXPECT_TRUE(baseline.reinitialized);
+  EXPECT_TRUE(baseline.caught_up);
+  const EvalResponse fresh = service.Evaluate({q, &db, AnswerMode::kBounds});
+  ASSERT_TRUE(fresh.bounds.has_value());
+  EXPECT_TRUE(sub->answers() == fresh.bounds->under);
+  EXPECT_TRUE(sub->over_valid());
+  EXPECT_TRUE(sub->possible() == fresh.bounds->over);
+
+  // A delta tick interrupted before its first fact commits nothing: both
+  // sides keep their answers and the over side stays valid.
+  const AnswerSet certain_before = sub->answers();
+  const AnswerSet possible_before = sub->possible();
+  size_t published = 0;
+  while (published < 6) {
+    if (service.Publish(&db, 0, RandomEdge(n, &rng))) ++published;
+  }
+  cancel->store(true);
+  const SubscriptionDelta cancelled = sub->Poll();
+  EXPECT_EQ(cancelled.status, ResponseStatus::kCancelled);
+  EXPECT_FALSE(cancelled.reinitialized);
+  EXPECT_EQ(cancelled.facts_applied, 0u);
+  EXPECT_FALSE(cancelled.caught_up);
+  EXPECT_TRUE(cancelled.new_answers.empty());
+  EXPECT_TRUE(cancelled.new_possible.empty());
+  EXPECT_TRUE(sub->answers() == certain_before);
+  EXPECT_TRUE(sub->possible() == possible_before);
+  EXPECT_TRUE(sub->over_valid());
+
+  // The next tick applies every pending fact and catches up.
+  cancel->store(false);
+  const SubscriptionDelta resumed = sub->Poll();
+  EXPECT_EQ(resumed.status, ResponseStatus::kOk);
+  EXPECT_FALSE(resumed.reinitialized);
+  EXPECT_EQ(resumed.facts_applied, published);
+  EXPECT_TRUE(resumed.caught_up);
+  const EvalResponse after = service.Evaluate({q, &db, AnswerMode::kBounds});
+  ASSERT_TRUE(after.bounds.has_value());
+  EXPECT_TRUE(sub->answers() == after.bounds->under);
+  EXPECT_TRUE(sub->possible() == after.bounds->over);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,6 +22,7 @@
 #include "cq/parse.h"
 #include "data/text.h"
 #include "eval/service.h"
+#include "net/admission.h"
 #include "net/client.h"
 #include "net/json.h"
 #include "net/server.h"
@@ -463,6 +465,38 @@ TEST_F(NetTest, TenantQuotaIsTypedAndIsolated) {
   CqaClient anon = Connect();
   EXPECT_FALSE(anon.Eval(params).has_value());
   EXPECT_EQ(anon.last_error().code, "unauthenticated");
+}
+
+// Two tenants under one display name: the first registration keeps the
+// name, so the second key is refused as unknown, and the admitted tenant's
+// slot is released to that same tenant (Release finds tenants by name).
+TEST_F(NetTest, DuplicateTenantNameFirstRegistrationWins) {
+  ServerOptions options;
+  options.admission.allow_anonymous = false;
+  TenantConfig first;
+  first.api_key = "k1";
+  first.name = "alice";
+  TenantConfig second = first;
+  second.api_key = "k2";
+  options.admission.tenants = {first, second};
+  StartServer(std::move(options));
+
+  CqaClient::EvalParams params;
+  params.db = "demo";
+  params.query = kPathQuery;
+  CqaClient late = Connect();
+  late.set_api_key("k2");
+  EXPECT_FALSE(late.Eval(params).has_value());
+  EXPECT_EQ(late.last_error().code, "unauthenticated");
+
+  CqaClient early = Connect();
+  early.set_api_key("k1");
+  EXPECT_TRUE(early.Eval(params).has_value()) << early.last_error().code;
+  const std::map<std::string, TenantStats> tenants =
+      server_->admission().stats();
+  ASSERT_EQ(tenants.size(), 1u);
+  EXPECT_EQ(tenants.at("alice").admitted, 1);
+  EXPECT_EQ(tenants.at("alice").in_flight, 0);
 }
 
 TEST_F(NetTest, StatsCounters) {

@@ -15,7 +15,9 @@
 
 #include "base/rng.h"
 #include "data/generators.h"
+#include "data/index.h"
 #include "eval/cache.h"
+#include "eval/engine.h"
 #include "eval/naive.h"
 #include "eval/service.h"
 #include "gadgets/intro.h"
@@ -267,28 +269,6 @@ TEST(QueryServiceTest, ModesDoNotCrossInThePlanCache) {
   EXPECT_TRUE(exact.IsSubsetOf(b.bounds->over));
 }
 
-// Forcing an engine is an exact-mode affair: approximate-mode requests go
-// through the planner (and its approximation rule) regardless.
-TEST(QueryServiceTest, ForcedEngineAppliesToExactModeOnly) {
-  Rng rng(10);
-  const Database db =
-      RandomDigraphDatabase(9, 0.3, &rng, /*allow_loops=*/true);
-  EvalOptions opts;
-  opts.num_threads = 1;
-  opts.planner.width_budget = 1;
-  opts.forced_engine = EngineKind::kNaive;
-  const QueryService service(opts);
-
-  const EvalResponse e = service.Evaluate({IntroQ1(), &db, AnswerMode::kExact});
-  EXPECT_EQ(e.engine, EngineKind::kNaive);
-  EXPECT_EQ(e.plan.reason, "forced by EvalOptions");
-
-  const EvalResponse b = service.Evaluate({IntroQ1(), &db, AnswerMode::kBounds});
-  EXPECT_TRUE(b.plan.approximate);
-  ASSERT_TRUE(b.bounds.has_value());
-  EXPECT_TRUE(b.bounds->under.IsSubsetOf(EvaluateNaive(IntroQ1(), db)));
-}
-
 // Streaming must serve the approximate modes exactly like a blocking batch.
 TEST(QueryServiceTest, StreamingBoundsMatchBlocking) {
   Rng rng(12);
@@ -416,20 +396,21 @@ TEST(QueryServiceTest, NullaryQueriesAcrossEngines) {
   for (const ConjunctiveQuery& q : {only_p, guarded}) {
     EXPECT_FALSE(EvaluateNaive(q, with_p).empty()) << PrintQuery(q);
     EXPECT_TRUE(EvaluateNaive(q, without_p).empty()) << PrintQuery(q);
-    for (const EngineKind kind : {EngineKind::kNaive, EngineKind::kYannakakis,
-                                  EngineKind::kTreewidth}) {
-      EvalOptions opts;
-      opts.num_threads = 1;
-      opts.forced_engine = kind;
-      const QueryService service(opts);
-      for (const Database* db : {&with_p, &without_p}) {
-        const EvalResponse r = service.Evaluate({q, db});
-        if (MakeEngine(kind)->Supports(q)) {
-          EXPECT_EQ(r.engine, kind);
-        }
-        EXPECT_TRUE(r.answers == EvaluateNaive(q, *db))
+    for (const Database* db : {&with_p, &without_p}) {
+      const AnswerSet oracle = EvaluateNaive(q, *db);
+      const IndexedDatabase view(*db);
+      for (const EngineKind kind : {EngineKind::kNaive,
+                                    EngineKind::kYannakakis,
+                                    EngineKind::kTreewidth}) {
+        const std::unique_ptr<Engine> engine = MakeEngine(kind);
+        if (!engine->Supports(q)) continue;
+        EXPECT_TRUE(engine->Evaluate(q, view) == oracle)
             << PrintQuery(q) << " on " << EngineKindName(kind);
       }
+      EvalOptions opts;
+      opts.num_threads = 1;
+      EXPECT_TRUE(QueryService(opts).Evaluate({q, db}).answers == oracle)
+          << PrintQuery(q);
     }
   }
 }
