@@ -2,7 +2,9 @@
 // mixed CQ workload across a thread pool, versus sequential evaluation of
 // the same jobs; plus a scan-vs-index series running each engine directly
 // over its own workload with indexing off and on (the answers must be
-// identical — the speedup column is the point of the RelationIndex layer).
+// identical — the speedup column is the point of the RelationIndex layer);
+// plus a tw_rewrites series timing the treewidth DP against the naive
+// backtracker on the TW(3) rewrites the planner synthesizes.
 // Pass --quick for a reduced run (CI smoke test) and --csv <path> to mirror
 // all tables into a CSV artifact.
 
@@ -11,8 +13,10 @@
 
 #include "base/rng.h"
 #include "bench_util.h"
+#include "cq/properties.h"
 #include "data/generators.h"
 #include "data/index.h"
+#include "decomp/treewidth.h"
 #include "eval/engine.h"
 #include "eval/service.h"
 #include "gadgets/intro.h"
@@ -216,6 +220,85 @@ void RunScanVsIndex(bool quick) {
   }
 }
 
+// The rewrites the approximate modes evaluate: every TW(3) rewrite that
+// PlanQuery(kBounds) sends to the treewidth DP for random oriented
+// 5-cliques (width 4, the approx_bounds shape), run through the treewidth
+// and naive engines on one indexed view. The view and its column lists are
+// warmed by an untimed pass of each engine first, so the timed pass
+// measures evaluation only. `bags` sums the min-fill bags the DP
+// materializes; `nodes` is EvalStats::nodes of the timed pass.
+void RunTwRewrites(bool quick) {
+  using bench::Fmt;
+  bench::SetCsvSection("tw_rewrites");
+  Rng rng(2012);
+  const int num_shapes = quick ? 2 : 6;
+  std::vector<ConjunctiveQuery> rewrites;
+  for (int i = 0; i < num_shapes; ++i) {
+    const PlanDecision d = PlanQuery(RandomTournamentCQ(5, i % 3, &rng),
+                                     PlannerOptions{}, AnswerMode::kBounds);
+    for (const std::vector<ApproxSubPlan>* side : {&d.under, &d.over}) {
+      for (const ApproxSubPlan& sub : *side) {
+        if (sub.kind == EngineKind::kTreewidth) rewrites.push_back(sub.query);
+      }
+    }
+  }
+  long long bags = 0;
+  for (const ConjunctiveQuery& q : rewrites) {
+    bags += static_cast<long long>(
+        MinFillDecomposition(GraphOfQuery(q)).bags.size());
+  }
+  std::printf(
+      "\nTW(3) rewrites of %d oriented 5-cliques (kBounds), treewidth DP vs "
+      "naive on one warm indexed view, 1 thread.\n\n",
+      num_shapes);
+
+  struct Substrate {
+    const char* name;
+    int n;
+    double out_degree;
+  };
+  std::vector<Substrate> substrates = {{"sparse", 36, 4.0}};
+  if (!quick) substrates.push_back({"dense", 60, 16.0});
+
+  bench::PrintRow({"database", "facts", "engine", "rewrites", "bags",
+                   "ms_per_rw", "nodes", "identical"},
+                  12);
+  bench::PrintRule(8, 12);
+  for (const Substrate& sub : substrates) {
+    const Database db = RandomDigraphDatabase(sub.n, sub.out_degree / sub.n,
+                                              &rng, /*allow_loops=*/true);
+    const IndexedDatabase view(db);
+    std::vector<AnswerSet> reference;
+    for (const EngineKind kind : {EngineKind::kNaive, EngineKind::kTreewidth}) {
+      const std::unique_ptr<Engine> engine = MakeEngine(kind);
+      for (const ConjunctiveQuery& q : rewrites) engine->Evaluate(q, view);
+      std::vector<AnswerSet> answers;
+      EvalStats stats;
+      const double ms = bench::TimeMs([&] {
+        for (const ConjunctiveQuery& q : rewrites) {
+          answers.push_back(engine->Evaluate(q, view, &stats));
+        }
+      });
+      std::string bag_cell = "-";
+      std::string identical = "ref";
+      if (kind == EngineKind::kNaive) {
+        reference = std::move(answers);
+      } else {
+        const bool same = answers == reference;
+        g_all_identical &= same;
+        identical = same ? "yes" : "NO";
+        bag_cell = Fmt(bags);
+      }
+      const double per_rewrite =
+          rewrites.empty() ? 0.0 : ms / static_cast<double>(rewrites.size());
+      bench::PrintRow({sub.name, Fmt(db.NumFacts()), EngineKindName(kind),
+                       Fmt(rewrites.size()), bag_cell, Fmt(per_rewrite),
+                       Fmt(stats.nodes), identical},
+                      12);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cqa
 
@@ -228,6 +311,7 @@ int main(int argc, char** argv) {
       quick ? "quick" : "full");
   cqa::RunThreadScaling(quick);
   cqa::RunScanVsIndex(quick);
+  cqa::RunTwRewrites(quick);
   cqa::bench::CloseCsv();
   if (!cqa::g_all_identical) {
     std::fprintf(stderr, "FAILED: some series reported identical=NO\n");

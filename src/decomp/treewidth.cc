@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <unordered_map>
 
 #include "base/check.h"
+#include "base/union_find.h"
 
 namespace cqa {
 namespace {
@@ -218,6 +220,47 @@ void WalkOrder(const Digraph& g, const std::vector<int>& order,
   }
 }
 
+// Contracts every tree edge whose one bag is a subset of the other into the
+// larger bag, until no bag is a subset of a tree neighbour's. The survivor
+// holds every vertex of the bag it absorbs, so each vertex's bags stay
+// connected, and contracting forest edges leaves a forest: validity and
+// width are unchanged.
+TreeDecomposition KeepMaximalBags(const TreeDecomposition& td) {
+  const int b = static_cast<int>(td.bags.size());
+  UnionFind merged(b);
+  std::vector<int> kept(b);  // per set root: the bag every set member fits in
+  std::iota(kept.begin(), kept.end(), 0);
+  const auto subset = [](const std::vector<int>& small,
+                         const std::vector<int>& big) {
+    return std::includes(big.begin(), big.end(), small.begin(), small.end());
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const auto& [x, y] : td.tree_edges) {
+      const int rx = merged.Find(x);
+      const int ry = merged.Find(y);
+      if (rx == ry) continue;
+      const std::vector<int>& bx = td.bags[kept[rx]];
+      const std::vector<int>& by = td.bags[kept[ry]];
+      if (!subset(bx, by) && !subset(by, bx)) continue;
+      const int larger = bx.size() < by.size() ? kept[ry] : kept[rx];
+      merged.Union(rx, ry);
+      kept[merged.Find(x)] = larger;
+      changed = true;
+    }
+  }
+  const std::vector<int> label = merged.DenseLabels();
+  TreeDecomposition out;
+  out.bags.resize(merged.num_sets());
+  for (int i = 0; i < b; ++i) {
+    if (merged.Find(i) == i) out.bags[label[i]] = td.bags[kept[i]];
+  }
+  for (const auto& [x, y] : td.tree_edges) {
+    if (label[x] != label[y]) out.tree_edges.emplace_back(label[x], label[y]);
+  }
+  return out;
+}
+
 }  // namespace
 
 int WidthOfEliminationOrder(const Digraph& g, const std::vector<int>& order) {
@@ -256,7 +299,7 @@ TreeDecomposition DecompositionFromOrder(const Digraph& g,
     }
     if (parent_pos >= 0) td.tree_edges.emplace_back(i, parent_pos);
   }
-  return td;
+  return KeepMaximalBags(td);
 }
 
 TreeDecomposition MinFillDecomposition(const Digraph& g) {

@@ -28,8 +28,10 @@ std::vector<int> MinFillOrder(const Digraph& g);
 /// size at elimination time, minus 1).
 int WidthOfEliminationOrder(const Digraph& g, const std::vector<int>& order);
 
-/// Tree decomposition whose bags are the closed neighborhoods at
-/// elimination time; always valid, width = WidthOfEliminationOrder.
+/// Tree decomposition whose bags are the inclusion-maximal closed
+/// neighborhoods at elimination time: a bag that is a subset of a tree
+/// neighbour's is contracted into it. Always valid, width =
+/// WidthOfEliminationOrder.
 TreeDecomposition DecompositionFromOrder(const Digraph& g,
                                          const std::vector<int>& order);
 

@@ -52,9 +52,11 @@ class TreewidthEngine : public Engine {
  public:
   EngineKind kind() const override { return EngineKind::kTreewidth; }
   bool Supports(const ConjunctiveQuery&) const override { return true; }
+  // Unlike Yannakakis' scan path, which has no search node or index probe
+  // to count, the scan bag enumeration reports its steps as nodes.
   AnswerSet Evaluate(const ConjunctiveQuery& q, const Database& db,
-                     EvalStats*, const EvalContext* ctx) const override {
-    return EvaluateTreewidth(q, db, ctx);
+                     EvalStats* stats, const EvalContext* ctx) const override {
+    return EvaluateTreewidth(q, db, stats, ctx);
   }
   AnswerSet Evaluate(const ConjunctiveQuery& q, const IndexedDatabase& idb,
                      EvalStats* stats, const EvalContext* ctx) const override {

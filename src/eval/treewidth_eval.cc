@@ -63,17 +63,20 @@ std::vector<std::vector<Element>> VariableCandidates(
 
 // Materializes the table of one bag: all assignments of the bag's variables
 // (from per-variable candidates) satisfying every atom fully contained in
-// the bag. O(prod |candidates|) = O(|D|^{k+1}).
+// the bag. O(prod |candidates|) = O(|D|^{k+1}). Each enumeration step counts
+// one node before it polls `ctx`, as in the probe core.
 VarTable BagTable(const std::vector<int>& bag,
                   const std::vector<const Atom*>& bag_atoms,
                   const std::vector<std::vector<Element>>& candidates,
-                  const Database& db, const EvalContext* ctx) {
+                  const Database& db, EvalStats* stats,
+                  const EvalContext* ctx) {
   VarTable out;
   out.vars = bag;
   out.rows = ColumnStore(static_cast<int>(bag.size()));
   Tuple row(bag.size());
   bool stopped = false;  // partial bag table = subset: sound downstream
   std::function<void(size_t)> enumerate = [&](size_t i) {
+    if (stats != nullptr) ++stats->nodes;
     if (ctx != nullptr && ctx->Interrupted()) {
       stopped = true;
       return;
@@ -102,13 +105,13 @@ VarTable BagTable(const std::vector<int>& bag,
 }
 
 // Indexed bag materialization: the shared probe-backtracking core searches
-// the bag's atoms (probing the relation index for the positions bound so
-// far, exactly like the naive engine), then candidate enumeration fills bag
-// variables no in-bag atom constrains. The resulting table may be a superset
-// of the scan-based bag table (scan also filters atom-bound variables
-// through their global candidate lists), but the join over all bags — and
-// hence the final answer set — is identical: every satisfying assignment
-// passes both.
+// every atom whose scope lies inside the bag (probing the relation index for
+// the positions bound so far, exactly like the naive engine). Candidate
+// lists fill only bag variables that no in-bag atom mentions. The resulting
+// table may be a superset of the scan-based bag table (scan also filters
+// atom-bound variables through their global candidate lists), but the join
+// over all bags — and hence the final answer set — is identical: every
+// satisfying assignment passes both.
 VarTable IndexedBagTable(const std::vector<int>& bag,
                          const std::vector<const Atom*>& bag_atoms,
                          const std::vector<std::vector<Element>>& candidates,
@@ -197,22 +200,25 @@ AnswerSet RunTreewidth(const ConjunctiveQuery& q, const Database& db,
     return out;
   }
 
-  // Assign each atom to a bag containing all its variables (exists by the
-  // clique-containment property of tree decompositions).
+  // Check each atom in every bag that contains all its variables (one
+  // exists by the clique-containment property of tree decompositions).
+  // Every answer satisfies every atom, so each bag table still holds the
+  // projection of Q(D), and a bag falls back to candidate lists only for a
+  // variable that no atom inside it mentions.
   std::vector<std::vector<const Atom*>> atoms_of_bag(b);
   for (const Atom& atom : q.atoms()) {
     std::vector<int> scope = atom.vars;
     std::sort(scope.begin(), scope.end());
     scope.erase(std::unique(scope.begin(), scope.end()), scope.end());
-    int chosen = -1;
-    for (int i = 0; i < b && chosen < 0; ++i) {
+    bool placed = false;
+    for (int i = 0; i < b; ++i) {
       if (std::includes(td.bags[i].begin(), td.bags[i].end(), scope.begin(),
                         scope.end())) {
-        chosen = i;
+        atoms_of_bag[i].push_back(&atom);
+        placed = true;
       }
     }
-    CQA_CHECK(chosen >= 0);
-    atoms_of_bag[chosen].push_back(&atom);
+    CQA_CHECK(placed);
   }
 
   const auto candidates = VariableCandidates(q, db, idb, stats);
@@ -222,7 +228,7 @@ AnswerSet RunTreewidth(const ConjunctiveQuery& q, const Database& db,
                     ? IndexedBagTable(td.bags[i], atoms_of_bag[i], candidates,
                                       *idb, stats, ctx)
                     : BagTable(td.bags[i], atoms_of_bag[i], candidates, db,
-                               ctx);
+                               stats, ctx);
   }
 
   // Orient the decomposition forest.
@@ -258,14 +264,15 @@ AnswerSet RunTreewidth(const ConjunctiveQuery& q, const Database& db,
 }  // namespace
 
 AnswerSet EvaluateTreewidth(const ConjunctiveQuery& q, const Database& db,
-                            const TreeDecomposition& td,
+                            const TreeDecomposition& td, EvalStats* stats,
                             const EvalContext* ctx) {
-  return RunTreewidth(q, db, /*idb=*/nullptr, td, /*stats=*/nullptr, ctx);
+  return RunTreewidth(q, db, /*idb=*/nullptr, td, stats, ctx);
 }
 
 AnswerSet EvaluateTreewidth(const ConjunctiveQuery& q, const Database& db,
-                            const EvalContext* ctx) {
-  return EvaluateTreewidth(q, db, MinFillDecomposition(GraphOfQuery(q)), ctx);
+                            EvalStats* stats, const EvalContext* ctx) {
+  return EvaluateTreewidth(q, db, MinFillDecomposition(GraphOfQuery(q)),
+                           stats, ctx);
 }
 
 AnswerSet EvaluateTreewidth(const ConjunctiveQuery& q,

@@ -223,8 +223,9 @@ bool IsAlmostTriangle(const Database& db) {
     if (nodes.size() != 3) continue;
     // Three loop-free pairs over exactly three nodes form a triangle iff
     // no two pairs connect the same endpoints.
+    // By value: std::minmax returns references into its arguments.
     auto undirected = [](std::pair<Element, Element> p) {
-      return std::minmax(p.first, p.second);
+      return std::pair<Element, Element>(std::minmax(p.first, p.second));
     };
     const auto e0 = undirected(pairs[0]);
     const auto e1 = undirected(pairs[1]);

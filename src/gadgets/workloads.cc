@@ -1,5 +1,9 @@
 #include "gadgets/workloads.h"
 
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "base/check.h"
 
 namespace cqa {
@@ -132,6 +136,29 @@ ConjunctiveQuery RandomCyclicGraphCQ(int cycle_len, int extra_atoms,
     }
   }
   q.SetFreeVariables({});
+  q.Validate();
+  return q;
+}
+
+ConjunctiveQuery RandomTournamentCQ(int size, int num_free, Rng* rng) {
+  CQA_CHECK(size >= 1 && num_free >= 0 && num_free <= size);
+  ConjunctiveQuery q(Vocabulary::Graph());
+  q.AddVariables(size);
+  for (int v = 0; v < size; ++v) {
+    q.SetVariableName(v, "x" + std::to_string(v));
+  }
+  for (int u = 0; u < size; ++u) {
+    for (int v = u + 1; v < size; ++v) {
+      if (rng->Bernoulli(0.5)) {
+        q.AddAtom(0, {u, v});
+      } else {
+        q.AddAtom(0, {v, u});
+      }
+    }
+  }
+  std::vector<int> free_vars(num_free);
+  std::iota(free_vars.begin(), free_vars.end(), 0);
+  q.SetFreeVariables(free_vars);
   q.Validate();
   return q;
 }

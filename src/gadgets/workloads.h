@@ -26,6 +26,11 @@ ConjunctiveQuery RandomCQ(VocabularyPtr vocab, int num_vars, int num_atoms,
 ConjunctiveQuery RandomCyclicGraphCQ(int cycle_len, int extra_atoms,
                                      Rng* rng);
 
+/// A random oriented clique: `size` variables x0..x{size-1}, one E-atom per
+/// pair in a uniformly chosen direction, x0..x{num_free-1} free. For size 5
+/// this is the width-4 shape that approximate modes rewrite into TW(3).
+ConjunctiveQuery RandomTournamentCQ(int size, int num_free, Rng* rng);
+
 /// Q(x, z) :- E(x, y), E(y, z), E(z, x): cyclic (min-fill width 2) with
 /// output, so evaluation must enumerate every triangle — the canonical
 /// width-over-budget shape the approximation-serving tests and benches

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/rng.h"
 #include "decomp/hypertree.h"
 #include "decomp/tree_decomposition.h"
@@ -22,6 +24,19 @@ Digraph Grid(int rows, int cols) {
     }
   }
   return g;
+}
+
+// True iff no bag is a subset of a tree neighbour's bag.
+bool BagsAreMaximal(const TreeDecomposition& td) {
+  for (const auto& [x, y] : td.tree_edges) {
+    const std::vector<int>& a = td.bags[x];
+    const std::vector<int>& b = td.bags[y];
+    if (std::includes(a.begin(), a.end(), b.begin(), b.end()) ||
+        std::includes(b.begin(), b.end(), a.begin(), a.end())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TEST(TreewidthTest, KnownValues) {
@@ -88,6 +103,37 @@ TEST(TreeDecompositionTest, ExactDecompositionOptimal) {
   const TreeDecomposition td2 = ExactDecomposition(cyc);
   EXPECT_TRUE(ValidateTreeDecomposition(td2, cyc));
   EXPECT_EQ(td2.Width(), 2);
+}
+
+TEST(TreeDecompositionTest, BagsAreMaximalWithWidthsKept) {
+  // One bag per eliminated vertex would leave {4} beside {3, 4} here.
+  const TreeDecomposition path = MinFillDecomposition(DirectedPath(4));
+  EXPECT_EQ(path.bags.size(), 4u);
+  EXPECT_EQ(path.tree_edges.size(), 3u);
+
+  Rng rng(59);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 2 + static_cast<int>(rng.UniformInt(9));
+    Digraph g(n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        if (rng.Bernoulli(0.1 + 0.1 * (trial % 6))) g.AddEdge(u, v);
+      }
+    }
+    const TreeDecomposition heuristic = MinFillDecomposition(g);
+    EXPECT_TRUE(ValidateTreeDecomposition(heuristic, g));
+    EXPECT_EQ(heuristic.Width(), WidthOfEliminationOrder(g, MinFillOrder(g)));
+    EXPECT_TRUE(BagsAreMaximal(heuristic));
+    const TreeDecomposition exact = ExactDecomposition(g);
+    EXPECT_TRUE(ValidateTreeDecomposition(exact, g));
+    EXPECT_EQ(exact.Width(), ExactTreewidth(g));
+    EXPECT_TRUE(BagsAreMaximal(exact));
+  }
+  for (const Digraph& g : {Grid(3, 4), CompleteDigraph(5), Digraph(3)}) {
+    const TreeDecomposition td = MinFillDecomposition(g);
+    EXPECT_TRUE(ValidateTreeDecomposition(td, g));
+    EXPECT_TRUE(BagsAreMaximal(td));
+  }
 }
 
 TEST(TreeDecompositionTest, ValidatorCatchesMissingEdge) {

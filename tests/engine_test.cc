@@ -10,7 +10,9 @@
 #include "cq/parse.h"
 #include "cq/properties.h"
 #include "data/generators.h"
+#include "data/index.h"
 #include "eval/engine.h"
+#include "eval/eval_context.h"
 #include "eval/service.h"
 #include "eval/naive.h"
 #include "gadgets/examples.h"
@@ -114,6 +116,67 @@ TEST(CrossEngineTest, RandomCyclicWorkloadQueries) {
   }
 }
 
+// The treewidth engine, scan and indexed, returns the naive engine's answers
+// on `q`; under small node budgets an interrupted run returns a subset.
+void ExpectTreewidthMatchesNaive(const ConjunctiveQuery& q,
+                                 const Database& db,
+                                 const IndexedDatabase& view) {
+  const std::unique_ptr<Engine> tw = MakeEngine(EngineKind::kTreewidth);
+  const AnswerSet want = EvaluateNaive(q, view);
+  EXPECT_TRUE(tw->Evaluate(q, db) == want) << "scan: " << PrintQuery(q);
+  EXPECT_TRUE(tw->Evaluate(q, view) == want) << "indexed: " << PrintQuery(q);
+  for (const long long max_nodes : {5LL, 200LL, 5000LL}) {
+    EvalLimits limits;
+    limits.max_nodes = max_nodes;
+    const EvalContext scan_ctx(limits);
+    const EvalContext view_ctx(limits);
+    EXPECT_TRUE(tw->Evaluate(q, db, nullptr, &scan_ctx).IsSubsetOf(want))
+        << "scan, " << max_nodes << " nodes: " << PrintQuery(q);
+    EXPECT_TRUE(tw->Evaluate(q, view, nullptr, &view_ctx).IsSubsetOf(want))
+        << "indexed, " << max_nodes << " nodes: " << PrintQuery(q);
+  }
+}
+
+// The TW(3) rewrites the planner synthesizes for oriented 5-cliques: the
+// bag shapes the approximate modes actually evaluate.
+TEST(CrossEngineTest, TreewidthOnPlannedCliqueRewrites) {
+  Rng rng(515);
+  const Database db = RandomDigraphDatabase(14, 0.3, &rng,
+                                            /*allow_loops=*/true);
+  const IndexedDatabase view(db);
+  int rewrites = 0;
+  for (int shape = 0; shape < 2; ++shape) {
+    const PlanDecision d = PlanQuery(RandomTournamentCQ(5, shape + 1, &rng),
+                                     PlannerOptions{}, AnswerMode::kBounds);
+    ASSERT_TRUE(d.approximate) << d.reason;
+    for (const std::vector<ApproxSubPlan>* side : {&d.under, &d.over}) {
+      for (const ApproxSubPlan& sub : *side) {
+        if (sub.kind != EngineKind::kTreewidth) continue;
+        ExpectTreewidthMatchesNaive(sub.query, db, view);
+        ++rewrites;
+      }
+    }
+  }
+  EXPECT_GT(rewrites, 0);
+}
+
+TEST(CrossEngineTest, TreewidthOnCyclicQueriesOfWidthAtMostThree) {
+  Rng rng(8675);
+  int tested = 0;
+  for (int round = 0; round < 60 && tested < 16; ++round) {
+    const ConjunctiveQuery q =
+        RandomGraphCQ(/*num_vars=*/4 + round % 3, /*num_atoms=*/5 + round % 4,
+                      &rng, /*num_free=*/round % 3);
+    const PlanDecision d = PlanQuery(q);
+    if (d.acyclic || d.width > 3) continue;
+    const Database db =
+        RandomDigraphDatabase(9 + round % 4, 0.3, &rng, /*allow_loops=*/true);
+    ExpectTreewidthMatchesNaive(q, db, IndexedDatabase(db));
+    ++tested;
+  }
+  EXPECT_GE(tested, 8);
+}
+
 TEST(PlannerTest, AcyclicGoesToYannakakis) {
   const PlanDecision d = PlanQuery(IntroQ2Approx());
   EXPECT_EQ(d.kind, EngineKind::kYannakakis);
@@ -178,6 +241,16 @@ TEST(EvaluateBatchTest, StatsAreFilled) {
     EXPECT_GE(r.eval_ms, 0.0);
     EXPECT_FALSE(r.plan.reason.empty());
   }
+}
+
+TEST(EvaluateBatchTest, ScanTreewidthReportsNodes) {
+  Rng rng(17);
+  const Database db = RandomDigraphDatabase(10, 0.3, &rng);
+  EvalOptions opts;
+  opts.engine.use_index = false;
+  const EvalResponse r = QueryService(opts).Evaluate({IntroQ1(), &db});
+  ASSERT_EQ(r.engine, EngineKind::kTreewidth);
+  EXPECT_GT(r.eval.nodes, 0);
 }
 
 TEST(EvaluateBatchTest, EmptyBatch) {

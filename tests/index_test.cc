@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "cq/parse.h"
 #include "cq/properties.h"
 #include "data/generators.h"
 #include "data/index.h"
+#include "eval/eval_context.h"
 #include "eval/naive.h"
 #include "eval/treewidth_eval.h"
 #include "eval/yannakakis.h"
@@ -233,6 +235,30 @@ TEST(IndexedEvalAgreement, TreewidthOnCyclicWorkloads) {
     EXPECT_TRUE(EvaluateTreewidth(q, idb, &stats) == EvaluateTreewidth(q, db))
         << "indexed treewidth disagrees on " << PrintQuery(q);
   }
+}
+
+TEST(IndexedEvalAgreement, TreewidthRewriteFinishesUnderNodeBudget) {
+  // A width-3 rewrite of an oriented 5-clique. With one bag per eliminated
+  // vertex and each atom checked in one bag only, atom-free bags were
+  // filled from whole-column candidate lists, and the run spent a
+  // million-node budget before emitting any of the 24 answers. With maximal
+  // bags that each check every atom they hold, it finishes in ~12k nodes.
+  const ConjunctiveQuery q = MustParseQuery(
+      G(),
+      "Q(x0, x1) :- E(x3, x0), E(x4, x0), E(x2, x4), E(x4, x1), E(x3, x1), "
+      "E(x3, x4), E(x0, x1), E(x2, x0), E(x3, x2)");
+  Rng rng(7);
+  const Database db =
+      RandomDigraphDatabase(200, 0.02, &rng, /*allow_loops=*/true);
+  const IndexedDatabase idb(db);
+  EvalLimits limits;
+  limits.max_nodes = 1000000;
+  const EvalContext ctx(limits);
+  const AnswerSet got = EvaluateTreewidth(q, idb, /*stats=*/nullptr, &ctx);
+  EXPECT_EQ(ctx.status(), ResponseStatus::kOk);
+  const AnswerSet want = EvaluateNaive(q, idb);
+  EXPECT_EQ(want.size(), 24u);
+  EXPECT_TRUE(got == want);
 }
 
 TEST(IndexedEvalAgreement, WorkedExampleQueries) {

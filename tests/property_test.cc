@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/rng.h"
 #include "core/approximator.h"
 #include "core/query_class.h"
@@ -160,13 +162,28 @@ TEST_P(SeededProperty, TreewidthDecompositionInvariants) {
       if (rng.Bernoulli(0.4)) g.AddEdge(u, v);
     }
   }
+  // Bags are inclusion-maximal: none is a subset of a tree neighbour's.
+  const auto maximal = [](const TreeDecomposition& td) {
+    for (const auto& [x, y] : td.tree_edges) {
+      const std::vector<int>& a = td.bags[x];
+      const std::vector<int>& b = td.bags[y];
+      if (std::includes(a.begin(), a.end(), b.begin(), b.end()) ||
+          std::includes(b.begin(), b.end(), a.begin(), a.end())) {
+        return false;
+      }
+    }
+    return true;
+  };
   const int tw = ExactTreewidth(g);
   const TreeDecomposition exact = ExactDecomposition(g);
   EXPECT_TRUE(ValidateTreeDecomposition(exact, g));
   EXPECT_EQ(exact.Width(), tw);
+  EXPECT_TRUE(maximal(exact));
   const TreeDecomposition heuristic = MinFillDecomposition(g);
   EXPECT_TRUE(ValidateTreeDecomposition(heuristic, g));
+  EXPECT_EQ(heuristic.Width(), WidthOfEliminationOrder(g, MinFillOrder(g)));
   EXPECT_GE(heuristic.Width(), tw);
+  EXPECT_TRUE(maximal(heuristic));
 }
 
 TEST_P(SeededProperty, HypergraphApproximationSoundness) {
