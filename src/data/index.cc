@@ -24,51 +24,6 @@ std::vector<Element> FlatKeysOfFacts(const Database& db, RelationId rel,
   return keys;
 }
 
-// Pushes facts [from, facts.size()) of `rel` through the repeated-column
-// equality filter into the deduplicating builder — shared by the
-// ProjectedRows build and the CatchUp delta path.
-void ProjectFactsInto(const Database& db, RelationId rel,
-                      const std::vector<int>& out_cols, int num_out,
-                      size_t from, RowSet* set) {
-  const std::vector<Tuple>& facts = db.facts(rel);
-  std::vector<Element> row(num_out);
-  for (size_t id = from; id < facts.size(); ++id) {
-    const Tuple& fact = facts[id];
-    std::fill(row.begin(), row.end(), -1);
-    bool ok = true;
-    for (size_t i = 0; i < fact.size(); ++i) {
-      const int col = out_cols[i];
-      CQA_CHECK(col >= 0 && col < num_out);
-      if (row[col] >= 0 && row[col] != fact[i]) {
-        ok = false;
-        break;
-      }
-      row[col] = fact[i];
-    }
-    if (ok) set->Insert(row);
-  }
-}
-
-// Merges the values at position `pos` of facts [from, facts.size()) into the
-// sorted-distinct vector `values` (the ColumnValues catch-up path). Cheap
-// when the delta introduces no new values (pure binary searches); sorts only
-// when it must.
-void MergeColumnValues(const Database& db, RelationId rel, int pos,
-                       size_t from, std::vector<Element>* values) {
-  const std::vector<Tuple>& facts = db.facts(rel);
-  std::vector<Element> fresh;
-  for (size_t id = from; id < facts.size(); ++id) {
-    const Element v = facts[id][pos];
-    if (!std::binary_search(values->begin(), values->end(), v)) {
-      fresh.push_back(v);
-    }
-  }
-  if (fresh.empty()) return;
-  values->insert(values->end(), fresh.begin(), fresh.end());
-  std::sort(values->begin(), values->end());
-  values->erase(std::unique(values->begin(), values->end()), values->end());
-}
-
 }  // namespace
 
 BoundMask MaskOfPositions(const std::vector<int>& positions) {
@@ -116,262 +71,248 @@ size_t RelationIndex::Append(const Database& db) {
   return facts.size() - from;
 }
 
+// One cached structure of any kind, as the view's table holds it. A kind
+// is built from every fact of its relation, and Append catches it up with
+// the facts added since, ~O(delta).
+class CachedStructure {
+ public:
+  CachedStructure() = default;
+  CachedStructure(const CachedStructure&) = delete;
+  CachedStructure& operator=(const CachedStructure&) = delete;
+  virtual ~CachedStructure() = default;
+  /// Appends the facts added since the last build or append; returns how
+  /// many. Must not run concurrently with readers of the structure.
+  virtual size_t Append(const Database& db) = 0;
+  virtual size_t ApproxBytes() const = 0;
+};
+
+namespace {
+
+// The table key's first field: which kind of structure sits under the key.
+enum StructureKind : int { kIndexKind, kProjectionKind, kFactColumnsKind,
+                           kColumnValuesKind };
+
+struct IndexStructure final : CachedStructure {
+  IndexStructure(const Database& db, RelationId rel, BoundMask mask)
+      : index(db, rel, mask) {}
+  size_t Append(const Database& db) override { return index.Append(db); }
+  size_t ApproxBytes() const override { return index.ApproxBytes(); }
+  RelationIndex index;
+};
+
+// The projection keeps its deduplicating builder alive so that appends
+// push new facts through the same repeated-column filter.
+struct ProjectionStructure final : CachedStructure {
+  ProjectionStructure(const Database& db, RelationId rel,
+                      const std::vector<int>& cols, int num_out)
+      : rel(rel), out_cols(cols), set(num_out) {
+    for (const int col : out_cols) CQA_CHECK(col >= 0 && col < num_out);
+    set.Reserve(db.facts(rel).size());
+    Append(db);
+  }
+  size_t Append(const Database& db) override {
+    const std::vector<Tuple>& facts = db.facts(rel);
+    std::vector<Element> row(set.rows().width());
+    for (size_t id = facts_seen; id < facts.size(); ++id) {
+      const Tuple& fact = facts[id];
+      std::fill(row.begin(), row.end(), -1);
+      bool ok = true;
+      for (size_t i = 0; i < fact.size(); ++i) {
+        const int col = out_cols[i];
+        if (row[col] >= 0 && row[col] != fact[i]) {
+          ok = false;
+          break;
+        }
+        row[col] = fact[i];
+      }
+      if (ok) set.Insert(row);
+    }
+    const size_t appended = facts.size() - facts_seen;
+    facts_seen = facts.size();
+    return appended;
+  }
+  size_t ApproxBytes() const override { return set.ApproxBytes(); }
+  RelationId rel;
+  std::vector<int> out_cols;
+  RowSet set;
+  size_t facts_seen = 0;
+};
+
+struct FactColumnsStructure final : CachedStructure {
+  FactColumnsStructure(const Database& db, RelationId rel)
+      : rel(rel), cols(db.vocab()->arity(rel)) {
+    cols.Reserve(db.facts(rel).size());
+    Append(db);
+  }
+  size_t Append(const Database& db) override {
+    const std::vector<Tuple>& facts = db.facts(rel);
+    const size_t from = cols.size();
+    for (size_t id = from; id < facts.size(); ++id) cols.AppendRow(facts[id]);
+    return facts.size() - from;
+  }
+  size_t ApproxBytes() const override { return cols.ApproxBytes(); }
+  RelationId rel;
+  ColumnStore cols;
+};
+
+struct ColumnValuesStructure final : CachedStructure {
+  ColumnValuesStructure(const Database& db, RelationId rel, int pos)
+      : rel(rel), pos(pos) {
+    Append(db);
+    values.shrink_to_fit();  // duplicate-heavy columns: no dead capacity
+  }
+  // Merges the new facts' values into the sorted-distinct list. Cheap when
+  // the delta introduces no new values (pure binary searches); sorts only
+  // when it must.
+  size_t Append(const Database& db) override {
+    const std::vector<Tuple>& facts = db.facts(rel);
+    std::vector<Element> fresh;
+    for (size_t id = facts_seen; id < facts.size(); ++id) {
+      const Element v = facts[id][pos];
+      if (!std::binary_search(values.begin(), values.end(), v)) {
+        fresh.push_back(v);
+      }
+    }
+    const size_t appended = facts.size() - facts_seen;
+    facts_seen = facts.size();
+    if (fresh.empty()) return appended;
+    values.insert(values.end(), fresh.begin(), fresh.end());
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    return appended;
+  }
+  size_t ApproxBytes() const override {
+    return kVectorOverhead + values.size() * sizeof(Element);
+  }
+  RelationId rel;
+  int pos;
+  std::vector<Element> values;
+  size_t facts_seen = 0;
+};
+
+}  // namespace
+
 IndexedDatabase::IndexedDatabase(const Database& db, IndexOptions options)
     : db_(&db), options_(options) {}
 
-bool IndexedDatabase::ReserveBytes(size_t cost) const {
-  // Caller holds mu_.
-  if (static_cast<size_t>(stats_.bytes) + cost > options_.max_bytes) {
-    ++stats_.budget_rejections;
-    return false;
-  }
-  stats_.bytes += static_cast<long long>(cost);
-  return true;
-}
+IndexedDatabase::~IndexedDatabase() = default;
 
-const RelationIndex* IndexedDatabase::Index(RelationId rel, BoundMask mask,
-                                            bool* built) const {
+template <typename Kind, typename Build>
+const Kind* IndexedDatabase::GetOrBuild(std::vector<int> key,
+                                        size_t min_bytes, const Build& build,
+                                        bool* built) const {
   if (built != nullptr) *built = false;
-  if (!options_.enabled) return nullptr;
-  CQA_CHECK(rel >= 0 && rel < db_->vocab()->num_relations());
-  if (db_->vocab()->arity(rel) > kMaxIndexableArity) return nullptr;
-  const uint64_t key = (static_cast<uint64_t>(rel) << 32) | mask;
+  // A cached entry: a structure to reuse, or a rejection to repeat.
+  const auto cached = [this](const CachedStructure* s) -> const Kind* {
+    if (s == nullptr) {
+      ++stats_.budget_rejections;
+      return nullptr;
+    }
+    ++stats_.reuses;
+    return static_cast<const Kind*>(s);
+  };
+  const auto over_budget = [this](size_t cost) {
+    return static_cast<size_t>(stats_.bytes) + cost > options_.max_bytes;
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = indexes_.find(key);
-    if (it != indexes_.end()) {
-      // A null entry records an earlier budget rejection: don't rebuild.
-      if (it->second == nullptr) {
-        ++stats_.budget_rejections;
-        return nullptr;
-      }
-      ++stats_.index_reuses;
-      return it->second.get();
-    }
-    // True lower bound on the final footprint (the id slab holds every fact
-    // id exactly once): reject before the transient build, so max_bytes
-    // also bounds the allocation the build itself would make.
-    const size_t lower =
-        kVectorOverhead + db_->facts(rel).size() * sizeof(int);
-    if (static_cast<size_t>(stats_.bytes) + lower > options_.max_bytes) {
+    const auto it = structures_.find(key);
+    if (it != structures_.end()) return cached(it->second.get());
+    if (over_budget(min_bytes)) {
       ++stats_.budget_rejections;
-      indexes_.emplace(key, nullptr);
+      structures_.emplace(std::move(key), nullptr);
       return nullptr;
     }
   }
   // Build outside the lock: concurrent threads may race to build the same
-  // index (duplicate work, at most once per key), but cache hits on other
+  // structure (duplicate work, at most once per key), but lookups of other
   // keys never stall behind an O(|facts|) scan.
-  auto index = std::make_unique<RelationIndex>(*db_, rel, mask);
+  std::unique_ptr<Kind> structure = build();
+  const size_t cost = structure->ApproxBytes();
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = indexes_.find(key);
-  if (it != indexes_.end()) {  // another thread won the race
-    if (it->second == nullptr) {
-      ++stats_.budget_rejections;
-      return nullptr;
-    }
-    ++stats_.index_reuses;
-    return it->second.get();
-  }
-  if (!ReserveBytes(index->ApproxBytes())) {
-    indexes_.emplace(key, nullptr);
+  const auto it = structures_.find(key);
+  if (it != structures_.end()) return cached(it->second.get());  // lost race
+  if (over_budget(cost)) {
+    ++stats_.budget_rejections;
+    structures_.emplace(std::move(key), nullptr);
     return nullptr;
   }
-  ++stats_.index_builds;
+  stats_.bytes += static_cast<long long>(cost);
+  ++stats_.builds;
   if (built != nullptr) *built = true;
-  return indexes_.emplace(key, std::move(index)).first->second.get();
+  const Kind* result = structure.get();
+  structures_.emplace(std::move(key), std::move(structure));
+  return result;
+}
+
+const RelationIndex* IndexedDatabase::Index(RelationId rel, BoundMask mask,
+                                            bool* built) const {
+  CQA_CHECK(rel >= 0 && rel < db_->vocab()->num_relations());
+  if (db_->vocab()->arity(rel) > kMaxIndexableArity) {
+    if (built != nullptr) *built = false;
+    return nullptr;
+  }
+  // The id slab holds every fact id exactly once.
+  const IndexStructure* s = GetOrBuild<IndexStructure>(
+      {kIndexKind, rel, static_cast<int>(mask)},
+      kVectorOverhead + db_->facts(rel).size() * sizeof(int),
+      [&] { return std::make_unique<IndexStructure>(*db_, rel, mask); },
+      built);
+  return s == nullptr ? nullptr : &s->index;
 }
 
 const ColumnStore* IndexedDatabase::ProjectedRows(
     RelationId rel, const std::vector<int>& out_cols, int num_out,
     bool* built) const {
-  if (built != nullptr) *built = false;
-  if (!options_.enabled) return nullptr;
   CQA_CHECK(rel >= 0 && rel < db_->vocab()->num_relations());
   CQA_CHECK(static_cast<int>(out_cols.size()) == db_->vocab()->arity(rel));
-  std::vector<int> key;
-  key.reserve(out_cols.size() + 2);
-  key.push_back(rel);
-  key.push_back(num_out);
+  std::vector<int> key = {kProjectionKind, rel, num_out};
   key.insert(key.end(), out_cols.begin(), out_cols.end());
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = projections_.find(key);
-    if (it != projections_.end()) {
-      if (it->second == nullptr) {
-        ++stats_.budget_rejections;
-        return nullptr;
-      }
-      ++stats_.projection_reuses;
-      return &it->second->set.rows();
-    }
-  }
-  auto entry = std::make_unique<ProjectionEntry>(num_out);  // outside the lock
-  entry->set.Reserve(db_->facts(rel).size());
-  ProjectFactsInto(*db_, rel, out_cols, num_out, 0, &entry->set);
-  entry->facts_seen = db_->facts(rel).size();
-  const size_t cost = entry->set.ApproxBytes();
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = projections_.find(key);
-  if (it != projections_.end()) {  // another thread won the race
-    if (it->second == nullptr) {
-      ++stats_.budget_rejections;
-      return nullptr;
-    }
-    ++stats_.projection_reuses;
-    return &it->second->set.rows();
-  }
-  if (!ReserveBytes(cost)) {
-    projections_.emplace(std::move(key), nullptr);
-    return nullptr;
-  }
-  ++stats_.projection_builds;
-  if (built != nullptr) *built = true;
-  return &projections_.emplace(std::move(key), std::move(entry))
-              .first->second->set.rows();
+  const ProjectionStructure* s = GetOrBuild<ProjectionStructure>(
+      std::move(key), kVectorOverhead,
+      [&] {
+        return std::make_unique<ProjectionStructure>(*db_, rel, out_cols,
+                                                     num_out);
+      },
+      built);
+  return s == nullptr ? nullptr : &s->set.rows();
 }
 
 const ColumnStore* IndexedDatabase::FactColumns(RelationId rel,
                                                 bool* built) const {
-  if (built != nullptr) *built = false;
-  if (!options_.enabled) return nullptr;
   CQA_CHECK(rel >= 0 && rel < db_->vocab()->num_relations());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = factcols_.find(rel);
-    if (it != factcols_.end()) {
-      if (it->second == nullptr) {
-        ++stats_.budget_rejections;
-        return nullptr;
-      }
-      ++stats_.factcol_reuses;
-      return it->second.get();
-    }
-  }
-  const int arity = db_->vocab()->arity(rel);
-  auto cols = std::make_unique<ColumnStore>(arity);  // outside the lock
-  cols->Reserve(db_->facts(rel).size());
-  for (const Tuple& fact : db_->facts(rel)) cols->AppendRow(fact);
-  const size_t cost = cols->ApproxBytes();
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = factcols_.find(rel);
-  if (it != factcols_.end()) {  // another thread won the race
-    if (it->second == nullptr) {
-      ++stats_.budget_rejections;
-      return nullptr;
-    }
-    ++stats_.factcol_reuses;
-    return it->second.get();
-  }
-  if (!ReserveBytes(cost)) {
-    factcols_.emplace(rel, nullptr);
-    return nullptr;
-  }
-  ++stats_.factcol_builds;
-  if (built != nullptr) *built = true;
-  return factcols_.emplace(rel, std::move(cols)).first->second.get();
+  // Every value of every fact, one column per position.
+  const size_t values =
+      db_->facts(rel).size() * static_cast<size_t>(db_->vocab()->arity(rel));
+  const FactColumnsStructure* s = GetOrBuild<FactColumnsStructure>(
+      {kFactColumnsKind, rel}, kVectorOverhead + values * sizeof(Element),
+      [&] { return std::make_unique<FactColumnsStructure>(*db_, rel); },
+      built);
+  return s == nullptr ? nullptr : &s->cols;
 }
 
 const std::vector<Element>* IndexedDatabase::ColumnValues(RelationId rel,
                                                           int pos,
                                                           bool* built) const {
-  if (built != nullptr) *built = false;
-  if (!options_.enabled) return nullptr;
   CQA_CHECK(rel >= 0 && rel < db_->vocab()->num_relations());
   CQA_CHECK(pos >= 0 && pos < db_->vocab()->arity(rel));
-  const uint64_t key = (static_cast<uint64_t>(rel) << 32) |
-                       static_cast<uint32_t>(pos);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = columns_.find(key);
-    if (it != columns_.end()) {
-      if (it->second == nullptr) {
-        ++stats_.budget_rejections;
-        return nullptr;
-      }
-      ++stats_.column_reuses;
-      return &it->second->values;
-    }
-  }
-  auto entry = std::make_unique<ColumnEntry>();  // outside the lock
-  entry->values.reserve(db_->facts(rel).size());
-  for (const Tuple& fact : db_->facts(rel)) entry->values.push_back(fact[pos]);
-  std::sort(entry->values.begin(), entry->values.end());
-  entry->values.erase(std::unique(entry->values.begin(), entry->values.end()),
-                      entry->values.end());
-  entry->values.shrink_to_fit();  // duplicate-heavy columns: no dead capacity
-  entry->facts_seen = db_->facts(rel).size();
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = columns_.find(key);
-  if (it != columns_.end()) {  // another thread won the race
-    if (it->second == nullptr) {
-      ++stats_.budget_rejections;
-      return nullptr;
-    }
-    ++stats_.column_reuses;
-    return &it->second->values;
-  }
-  if (!ReserveBytes(kVectorOverhead + entry->values.size() * sizeof(Element))) {
-    columns_.emplace(key, nullptr);
-    return nullptr;
-  }
-  ++stats_.column_builds;
-  if (built != nullptr) *built = true;
-  return &columns_.emplace(key, std::move(entry)).first->second->values;
+  const ColumnValuesStructure* s = GetOrBuild<ColumnValuesStructure>(
+      {kColumnValuesKind, rel, pos}, kVectorOverhead,
+      [&] { return std::make_unique<ColumnValuesStructure>(*db_, rel, pos); },
+      built);
+  return s == nullptr ? nullptr : &s->values;
 }
 
 size_t IndexedDatabase::CatchUp() {
   std::lock_guard<std::mutex> lock(mu_);
   size_t appended = 0;
   long long bytes_delta = 0;
-  for (auto& [key, index] : indexes_) {
-    if (index == nullptr) continue;
-    const size_t before = index->ApproxBytes();
-    appended += index->Append(*db_);
-    bytes_delta += static_cast<long long>(index->ApproxBytes()) -
+  for (auto& [key, structure] : structures_) {
+    if (structure == nullptr) continue;  // rejected: stays rejected
+    const size_t before = structure->ApproxBytes();
+    appended += structure->Append(*db_);
+    bytes_delta += static_cast<long long>(structure->ApproxBytes()) -
                    static_cast<long long>(before);
-  }
-  for (auto& [key, entry] : projections_) {
-    if (entry == nullptr) continue;
-    const RelationId rel = key[0];
-    const int num_out = key[1];
-    const std::vector<int> out_cols(key.begin() + 2, key.end());
-    const size_t total = db_->facts(rel).size();
-    if (entry->facts_seen >= total) continue;
-    const size_t before = entry->set.ApproxBytes();
-    ProjectFactsInto(*db_, rel, out_cols, num_out, entry->facts_seen,
-                     &entry->set);
-    appended += total - entry->facts_seen;
-    entry->facts_seen = total;
-    bytes_delta += static_cast<long long>(entry->set.ApproxBytes()) -
-                   static_cast<long long>(before);
-  }
-  for (auto& [rel, cols] : factcols_) {
-    if (cols == nullptr) continue;
-    const std::vector<Tuple>& facts = db_->facts(rel);
-    const size_t before = cols->ApproxBytes();
-    for (size_t id = cols->size(); id < facts.size(); ++id) {
-      cols->AppendRow(facts[id]);
-      ++appended;
-    }
-    bytes_delta += static_cast<long long>(cols->ApproxBytes()) -
-                   static_cast<long long>(before);
-  }
-  for (auto& [key, entry] : columns_) {
-    if (entry == nullptr) continue;
-    const RelationId rel = static_cast<RelationId>(key >> 32);
-    const int pos = static_cast<int>(key & 0xffffffffu);
-    const size_t total = db_->facts(rel).size();
-    if (entry->facts_seen >= total) continue;
-    const long long before =
-        static_cast<long long>(entry->values.size() * sizeof(Element));
-    MergeColumnValues(*db_, rel, pos, entry->facts_seen, &entry->values);
-    appended += total - entry->facts_seen;
-    entry->facts_seen = total;
-    bytes_delta +=
-        static_cast<long long>(entry->values.size() * sizeof(Element)) -
-        before;
   }
   // Appends may overshoot max_bytes (catching up an existing structure beats
   // throwing the whole view away); the EvalCache layer's budget enforcement

@@ -25,7 +25,9 @@
 // on first use, and cached. The special mask 0 (no position bound) is legal
 // and yields a single group holding every fact.
 //
-// IndexedDatabase also caches cheaper byproducts the evaluators share:
+// IndexedDatabase keeps every cached structure in one table, keyed by its
+// kind, relation and shape. Besides relation indexes there are three
+// cheaper kinds the evaluators share:
 //  - ProjectedRows: the deduplicated projection of a relation onto "output
 //    columns" with a repeated-column equality filter — exactly the match
 //    table of an atom (e.g. E(x, x) keeps loops only), stored columnar and
@@ -34,10 +36,14 @@
 //    candidate iteration in the probe core walks contiguous columns.
 //  - ColumnValues: the sorted distinct values occurring at one argument
 //    position, the building block of per-variable candidate sets.
+// Each kind supplies only its build and its append; the lookup, the budget,
+// the race between concurrent builders and CatchUp are shared.
 //
-// All caches share one memory budget (IndexOptions::max_bytes, approximate).
-// When building a structure would exceed it, the cache returns nullptr and
-// the caller falls back to scanning; evaluation stays correct either way.
+// All structures share one memory budget (IndexOptions::max_bytes,
+// approximate). When building a structure would exceed it, the lookup
+// returns nullptr and the caller falls back to scanning; evaluation stays
+// correct either way. A view with max_bytes = 0 refuses every structure, so
+// it is the scan fallback.
 //
 // Ownership and thread-safety contracts
 // -------------------------------------
@@ -135,28 +141,22 @@ class RelationIndex {
 /// Knobs for one IndexedDatabase (EvalCache builds its views with the
 /// defaults).
 struct IndexOptions {
-  /// Master switch: when false every lookup returns nullptr and evaluators
-  /// run their scan-based paths.
-  bool enabled = true;
   /// Approximate ceiling on the summed footprint of cached structures.
-  /// Structures that would overflow it are not built (lookup -> nullptr).
+  /// Structures that would overflow it are not built (lookup -> nullptr);
+  /// 0 refuses every structure, which leaves the evaluators scanning.
   size_t max_bytes = size_t{1} << 30;
 };
 
 /// Counters of one IndexedDatabase (snapshot; see IndexedDatabase::stats).
 struct IndexCacheStats {
-  long long index_builds = 0;       ///< RelationIndex constructions
-  long long index_reuses = 0;       ///< cache hits on Index()
-  long long projection_builds = 0;  ///< ProjectedRows constructions
-  long long projection_reuses = 0;  ///< cache hits on ProjectedRows()
-  long long column_builds = 0;      ///< ColumnValues constructions
-  long long column_reuses = 0;      ///< cache hits on ColumnValues()
-  long long factcol_builds = 0;     ///< FactColumns constructions
-  long long factcol_reuses = 0;     ///< cache hits on FactColumns()
+  long long builds = 0;             ///< structures built, of any kind
+  long long reuses = 0;             ///< lookups served by a cached structure
   long long budget_rejections = 0;  ///< lookups refused by max_bytes
   long long catchup_facts = 0;      ///< structure-appends done by CatchUp()
   long long bytes = 0;              ///< current approximate footprint
 };
+
+class CachedStructure;  // index.cc: the interface every kind implements
 
 /// A read-only view of a Database plus lazily built, cached index structures.
 /// Thread-safe: many evaluator threads may share one view; each structure is
@@ -166,15 +166,16 @@ struct IndexCacheStats {
 class IndexedDatabase {
  public:
   explicit IndexedDatabase(const Database& db, IndexOptions options = {});
+  ~IndexedDatabase();
 
   const Database& db() const { return *db_; }
   const IndexOptions& options() const { return options_; }
 
   /// The index of `rel` for bound set `mask`, building it on first use.
-  /// nullptr when indexing is disabled, the relation is wider than
-  /// kMaxIndexableArity, or the budget is exhausted (rejections are cached,
-  /// so a declined structure is not rebuilt on every lookup).
-  /// `built` (optional out) reports whether this call built the index.
+  /// nullptr when the relation is wider than kMaxIndexableArity or the
+  /// budget is exhausted (rejections are cached, so a declined structure is
+  /// not rebuilt on every lookup). `built` (optional out) reports whether
+  /// this call built the index; the other lookups below share these rules.
   const RelationIndex* Index(RelationId rel, BoundMask mask,
                              bool* built = nullptr) const;
 
@@ -183,18 +184,16 @@ class IndexedDatabase {
   /// column in [0, num_out) must be fed by some position). Facts assigning
   /// two different values to the same output column are filtered out, so
   /// this is exactly the match table of an atom whose i-th argument is the
-  /// variable with rank out_cols[i]. nullptr when disabled/over budget.
+  /// variable with rank out_cols[i].
   const ColumnStore* ProjectedRows(RelationId rel,
                                    const std::vector<int>& out_cols,
                                    int num_out, bool* built = nullptr) const;
 
   /// The facts of `rel` transposed into a ColumnStore (same row ids as
   /// db.facts(rel)), so candidate loops iterate contiguous columns.
-  /// nullptr when disabled/over budget.
   const ColumnStore* FactColumns(RelationId rel, bool* built = nullptr) const;
 
   /// Sorted distinct values at argument position `pos` of `rel`.
-  /// nullptr when disabled/over budget.
   const std::vector<Element>* ColumnValues(RelationId rel, int pos,
                                            bool* built = nullptr) const;
 
@@ -212,34 +211,23 @@ class IndexedDatabase {
   IndexCacheStats stats() const;
 
  private:
-  // A cached projection: the deduplicating builder stays alive so CatchUp
-  // can push new facts through the same filter; ProjectedRows hands out
-  // &set.rows(), which is stable for the entry's lifetime.
-  struct ProjectionEntry {
-    explicit ProjectionEntry(int width) : set(width) {}
-    RowSet set;
-    size_t facts_seen = 0;
-  };
-  // A cached sorted-distinct column plus how many facts fed it.
-  struct ColumnEntry {
-    std::vector<Element> values;
-    size_t facts_seen = 0;
-  };
-
-  // Accounts for `cost` bytes; false (and a rejection tick) if over budget.
-  bool ReserveBytes(size_t cost) const;
+  // The one get-or-build path of every lookup: the cached structure under
+  // `key`, or one `build()` makes, admitted if the budget allows. nullptr
+  // for a rejection, cached under `key` too. `min_bytes` is a true lower
+  // bound on the footprint, checked before the build so that max_bytes
+  // also bounds the build's own allocation. Defined in index.cc.
+  template <typename Kind, typename Build>
+  const Kind* GetOrBuild(std::vector<int> key, size_t min_bytes,
+                         const Build& build, bool* built) const;
 
   const Database* db_;
   IndexOptions options_;
 
   mutable std::mutex mu_;
-  mutable std::unordered_map<uint64_t, std::unique_ptr<RelationIndex>>
-      indexes_;
-  mutable std::unordered_map<std::vector<int>, std::unique_ptr<ProjectionEntry>,
-                             VectorHash>
-      projections_;
-  mutable std::unordered_map<int, std::unique_ptr<ColumnStore>> factcols_;
-  mutable std::unordered_map<uint64_t, std::unique_ptr<ColumnEntry>> columns_;
+  // Keyed by (kind, relation, shape...); a null entry records a rejection.
+  mutable std::unordered_map<std::vector<int>,
+                             std::unique_ptr<CachedStructure>, VectorHash>
+      structures_;
   mutable IndexCacheStats stats_;
 };
 

@@ -7,8 +7,8 @@
 
 namespace cqa {
 
-DeltaEvaluator::DeltaEvaluator(const ConjunctiveQuery& q, const Database& db,
-                               const IndexedDatabase* idb, EvalStats* stats,
+DeltaEvaluator::DeltaEvaluator(const ConjunctiveQuery& q,
+                               const IndexedDatabase& idb, EvalStats* stats,
                                const EvalContext* ctx)
     : query_(&q), ctx_(ctx), assignment_(q.num_variables(), -1) {
   const std::vector<Atom>& atoms = q.atoms();
@@ -28,7 +28,7 @@ DeltaEvaluator::DeltaEvaluator(const ConjunctiveQuery& q, const Database& db,
     seed.seed_vars = atoms[i].vars;
     seed.search = std::make_unique<ProbeBacktracker>(
         GreedyProbeOrder(std::move(rest), bound), q.num_variables(), bound,
-        db, idb, stats, ctx);
+        idb.db(), &idb, stats, ctx);
     seeds_.push_back(std::move(seed));
   }
 }
@@ -72,13 +72,13 @@ bool DeltaEvaluator::ApplyFact(const DeltaFact& fact,
   return true;
 }
 
-AnswerSet DeltaEvaluateQuery(const ConjunctiveQuery& q, const Database& db,
-                             const IndexedDatabase* idb,
+AnswerSet DeltaEvaluateQuery(const ConjunctiveQuery& q,
+                             const IndexedDatabase& idb,
                              std::span<const DeltaFact> delta,
                              const AnswerSet& existing, EvalStats* stats,
                              const EvalContext* ctx) {
   AnswerSet out(static_cast<int>(q.free_variables().size()));
-  DeltaEvaluator evaluator(q, db, idb, stats, ctx);
+  DeltaEvaluator evaluator(q, idb, stats, ctx);
   long long applied = 0;
   for (const DeltaFact& fact : delta) {
     if (!evaluator.ApplyFact(fact, existing, &out)) break;

@@ -56,14 +56,13 @@ struct DeltaFact {
 };
 
 /// Per-query delta evaluator: one prebuilt seeded search per atom. Borrows
-/// the query, database, and view — all must outlive it, and the database
+/// the query and the view — both must outlive it, and the view's database
 /// must already contain every fact passed to ApplyFact. Construct once per
 /// tick (searches cache index pointers) and discard.
 class DeltaEvaluator {
  public:
-  DeltaEvaluator(const ConjunctiveQuery& q, const Database& db,
-                 const IndexedDatabase* idb, EvalStats* stats = nullptr,
-                 const EvalContext* ctx = nullptr);
+  DeltaEvaluator(const ConjunctiveQuery& q, const IndexedDatabase& idb,
+                 EvalStats* stats = nullptr, const EvalContext* ctx = nullptr);
 
   /// Joins `fact` against the database through every atom of the matching
   /// relation, inserting answers that are in neither `existing` nor `out`
@@ -90,8 +89,8 @@ class DeltaEvaluator {
 /// Convenience one-shot: the new answers `delta` adds to `existing`
 /// (disjoint from it). Facts are applied in order; if `ctx` trips, the
 /// result holds the sound partial delta of the fully applied prefix.
-AnswerSet DeltaEvaluateQuery(const ConjunctiveQuery& q, const Database& db,
-                             const IndexedDatabase* idb,
+AnswerSet DeltaEvaluateQuery(const ConjunctiveQuery& q,
+                             const IndexedDatabase& idb,
                              std::span<const DeltaFact> delta,
                              const AnswerSet& existing,
                              EvalStats* stats = nullptr,

@@ -6,6 +6,8 @@
 //
 // Every engine has two matching modes: scan (the paper-faithful baseline)
 // and indexed (RelationIndex probes via a shared IndexedDatabase view).
+// The service always evaluates on a view; the scan overloads are the
+// baseline that tests and benches compare against.
 //
 // The planner (PlanQuery) implements the paper's serving story end to end:
 // acyclic queries go to Yannakakis, small-width cyclic queries to the
@@ -73,12 +75,6 @@ enum class AnswerMode {
 
 /// Stable display name ("exact", "over", "under", "bounds").
 const char* AnswerModeName(AnswerMode mode);
-
-/// Evaluation-mode knobs shared by all engines.
-struct EngineOptions {
-  /// Evaluate through RelationIndex probes (same answers, different speed).
-  bool use_index = true;
-};
 
 /// A single evaluation algorithm behind a uniform interface.
 class Engine {

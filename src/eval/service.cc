@@ -55,15 +55,12 @@ struct PlanRun {
 // rewrite Q' satisfies Q' ⊆ Q, so every tuple is a genuine answer, and an
 // interrupted partial union (fewer rewrites, each a partial subset) still
 // is. Then the containing rewrites (Q ⊆ Q'') are evaluated one by one. The
-// run stops at the first interruption; `idb` null means the scan path.
+// run stops at the first interruption.
 PlanRun RunPlan(const ConjunctiveQuery& query, const PlanDecision& plan,
-                const EngineSet& engines, const Database& db,
-                const IndexedDatabase* idb, EvalStats* stats,
-                const EvalContext* ctx) {
+                const EngineSet& engines, const IndexedDatabase& idb,
+                EvalStats* stats, const EvalContext* ctx) {
   const auto evaluate = [&](const ConjunctiveQuery& q, EngineKind kind) {
-    const Engine& engine = engines.For(kind);
-    return idb != nullptr ? engine.Evaluate(q, *idb, stats, ctx)
-                          : engine.Evaluate(q, db, stats, ctx);
+    return engines.For(kind).Evaluate(q, idb, stats, ctx);
   };
   const auto live = [&] { return ctx == nullptr || ctx->ok(); };
   if (!plan.approximate) return PlanRun{evaluate(query, plan.kind), {}};
@@ -97,10 +94,10 @@ AnswerSet IntersectionOf(const std::vector<AnswerSet>& parts, int arity) {
   return result;
 }
 
-// Plans and evaluates one request into `out`. Plans come from `cache`'s
-// single-flight plan tier; `idb` null means the scan path.
+// Plans and evaluates one request on `idb`, the view of request.db, into
+// `out`. Plans come from `cache`'s single-flight plan tier.
 void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
-                    const EngineSet& engines, const IndexedDatabase* idb,
+                    const EngineSet& engines, const IndexedDatabase& idb,
                     EvalCache& cache, const EvalContext* ctx,
                     EvalResponse* out) {
   out->mode = request.mode;
@@ -136,8 +133,8 @@ void ExecuteRequest(const EvalRequest& request, const EvalOptions& options,
   out->plan_ms = MsSince(plan_start);
 
   const auto eval_start = std::chrono::steady_clock::now();
-  PlanRun run = RunPlan(request.query, out->plan, engines, *request.db, idb,
-                        &out->eval, ctx);
+  PlanRun run = RunPlan(request.query, out->plan, engines, idb, &out->eval,
+                        ctx);
   // Exact evaluation serves every mode; in kBounds the sandwich collapses.
   out->exact = !out->plan.approximate;
   if (request.mode == AnswerMode::kOverApproximate && out->plan.approximate) {
@@ -202,7 +199,6 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
   long long view_hits = 0, view_misses = 0;
   for (const EvalRequest& request : requests) {
     CQA_CHECK(request.db != nullptr);
-    if (!options_.engine.use_index) continue;
     auto& slot = views[request.db];
     if (slot != nullptr) continue;
     bool hit = false;
@@ -212,8 +208,6 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
 
   const auto run_request = [&](size_t i) {
     const EvalRequest& request = requests[i];
-    const IndexedDatabase* idb =
-        options_.engine.use_index ? views.at(request.db).get() : nullptr;
     // One interruption token per request (deadline armed here, when the
     // request actually starts): service-wide defaults overridden field by
     // field by the request's own limits. No limits, no token, no overhead.
@@ -223,7 +217,7 @@ std::vector<EvalResponse> QueryService::EvaluateBatch(
     if (limits.any() || request.cancel != nullptr) {
       ectx.emplace(limits, request.cancel);
     }
-    ExecuteRequest(request, options_, engines, idb, cache,
+    ExecuteRequest(request, options_, engines, *views.at(request.db), cache,
                    ectx.has_value() ? &*ectx : nullptr, &responses[i]);
   };
 
@@ -399,11 +393,9 @@ void QueryService::WorkerLoop() {
     // cache evicts it meanwhile. A throw must not escape the worker thread
     // (std::terminate): it travels through the future.
     try {
-      std::shared_ptr<const IndexedDatabase> view;
-      if (options_.engine.use_index) {
-        view = serving_cache_->AcquireIndexed(*pending.request.db);
-      }
-      ExecuteRequest(pending.request, options_, engines, view.get(),
+      const std::shared_ptr<const IndexedDatabase> view =
+          serving_cache_->AcquireIndexed(*pending.request.db);
+      ExecuteRequest(pending.request, options_, engines, *view,
                      *serving_cache_, pending.ctx.get(), &response);
       response.degraded = pending.degraded;
     } catch (...) {
@@ -470,9 +462,7 @@ std::unique_ptr<Subscription> QueryService::Subscribe(EvalRequest request) {
   // catch-up path (eval/cache.h) is what keeps per-tick index maintenance
   // O(delta) instead of a per-tick rebuild.
   return std::unique_ptr<Subscription>(new Subscription(
-      std::move(request), *plan,
-      options_.engine.use_index ? serving_cache_ : nullptr,
-      std::move(write_mu)));
+      std::move(request), *plan, serving_cache_, std::move(write_mu)));
 }
 
 Subscription::Subscription(EvalRequest request, PlanDecision plan,
@@ -504,8 +494,8 @@ SubscriptionDelta Subscription::Poll() {
   // The view rides the cache's catch-up path: same database object, newer
   // version — appended in place, never rebuilt (EvalCacheStats::
   // index_delta_appends counts it).
-  std::shared_ptr<const IndexedDatabase> view;
-  if (cache_ != nullptr) view = cache_->AcquireIndexed(db);
+  const std::shared_ptr<const IndexedDatabase> view =
+      cache_->AcquireIndexed(db);
 
   const int num_relations = db.vocab()->num_relations();
   std::vector<DeltaFact> delta;
@@ -527,9 +517,9 @@ SubscriptionDelta Subscription::Poll() {
     // First tick, or an earlier baseline was interrupted: run it again and
     // report what it adds to the answers reported so far.
     out.reinitialized = true;
-    if (RunBaseline(view.get(), ctx, &out)) out.facts_applied = delta.size();
+    if (RunBaseline(*view, ctx, &out)) out.facts_applied = delta.size();
   } else {
-    out.facts_applied = ApplyDelta(delta, view.get(), ctx, &out);
+    out.facts_applied = ApplyDelta(delta, *view, ctx, &out);
   }
   // Exact plans: the sandwich collapses, possible() is certain().
   if (!plan_.approximate) out.new_possible = out.new_answers;
@@ -549,12 +539,11 @@ SubscriptionDelta Subscription::Poll() {
   return out;
 }
 
-bool Subscription::RunBaseline(const IndexedDatabase* idb,
+bool Subscription::RunBaseline(const IndexedDatabase& idb,
                                const EvalContext* ctx,
                                SubscriptionDelta* out) {
   const EngineSet engines;
-  PlanRun run = RunPlan(request_.query, plan_, engines, *request_.db, idb,
-                        &out->eval, ctx);
+  PlanRun run = RunPlan(request_.query, plan_, engines, idb, &out->eval, ctx);
   // Partial results of an interrupted run are kept: they are proven answers
   // and insertions never remove one (monotonicity), so merging them in is
   // sound, and the next baseline completes the set.
@@ -575,23 +564,22 @@ bool Subscription::RunBaseline(const IndexedDatabase* idb,
 }
 
 size_t Subscription::ApplyDelta(const std::vector<DeltaFact>& delta,
-                                const IndexedDatabase* idb,
+                                const IndexedDatabase& idb,
                                 const EvalContext* ctx,
                                 SubscriptionDelta* out) {
-  const Database& db = *request_.db;
   // An exact plan is the one-rewrite case: its certain side is the query.
   std::vector<DeltaEvaluator> unders;
   unders.reserve(plan_.under.size() + 1);
   if (!plan_.approximate) {
-    unders.emplace_back(request_.query, db, idb, &out->eval, ctx);
+    unders.emplace_back(request_.query, idb, &out->eval, ctx);
   }
   for (const ApproxSubPlan& sub : plan_.under) {
-    unders.emplace_back(sub.query, db, idb, &out->eval, ctx);
+    unders.emplace_back(sub.query, idb, &out->eval, ctx);
   }
   std::vector<DeltaEvaluator> overs;
   overs.reserve(plan_.over.size());
   for (const ApproxSubPlan& sub : plan_.over) {
-    overs.emplace_back(sub.query, db, idb, &out->eval, ctx);
+    overs.emplace_back(sub.query, idb, &out->eval, ctx);
   }
   size_t applied = 0;
   for (const DeltaFact& fact : delta) {

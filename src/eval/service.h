@@ -15,10 +15,6 @@
 // evaluates the plan for every calling convention and for a subscription's
 // baseline tick.
 //
-// (The pre-QueryService batch vocabulary — BatchJob/BatchResult/
-// BatchOptions aliases and the deprecated BatchEvaluator forwards — was
-// removed after its one-release migration window.)
-//
 // Ownership and thread-safety contracts
 // -------------------------------------
 //  - EvalRequest borrows its Database; the caller keeps it alive until the
@@ -73,18 +69,13 @@ namespace cqa {
 class EvalCache;   // eval/cache.h
 struct DeltaFact;  // eval/delta_eval.h
 
-/// The consolidated serving options: everything that used to be spread over
-/// EngineOptions, PlannerOptions and the batch knobs, in one struct. The
-/// engine/planner sub-structs are *nested once* here (engine.h stays their
-/// single source of truth — nothing is re-declared); the static_asserts
-/// after the legacy aliases below pin the no-duplication invariant.
+/// The serving options, in one struct. PlannerOptions is nested once here;
+/// engine.h stays its single source of truth.
 struct EvalOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   int num_threads = 0;
   /// Planner knobs: width budget + approximation-synthesis limits.
   PlannerOptions planner;
-  /// Engine knobs: index on/off.
-  EngineOptions engine;
   /// The cache every calling convention goes through (eval/cache.h;
   /// QueryService::serving_cache): index views and plans are looked up
   /// there first and stored back, so they outlive any one request or
@@ -347,10 +338,10 @@ class Subscription {
 
   // Tick steps; the caller holds the write lock and mu_. RunBaseline
   // returns false when interrupted, ApplyDelta the committed prefix length.
-  bool RunBaseline(const IndexedDatabase* idb, const EvalContext* ctx,
+  bool RunBaseline(const IndexedDatabase& idb, const EvalContext* ctx,
                    SubscriptionDelta* out);
   size_t ApplyDelta(const std::vector<DeltaFact>& delta,
-                    const IndexedDatabase* idb, const EvalContext* ctx,
+                    const IndexedDatabase& idb, const EvalContext* ctx,
                     SubscriptionDelta* out);
   bool CaughtUpLocked() const;
 
@@ -358,7 +349,7 @@ class Subscription {
   /// limits (they apply per tick).
   const EvalRequest request_;
   const PlanDecision plan_;
-  const std::shared_ptr<EvalCache> cache_;  ///< view source; null = scan path
+  const std::shared_ptr<EvalCache> cache_;  ///< view source (serving cache)
   /// The database's write lock, shared with QueryService::Publish: held for
   /// the whole tick so the fact vectors are stable while Poll reads them.
   const std::shared_ptr<std::mutex> write_mu_;
@@ -393,12 +384,12 @@ class QueryService {
 
   /// Runs all requests across a transient thread pool; results are indexed
   /// like the input and bit-identical to a sequential run. `stats`
-  /// (optional) receives aggregate timing. When indexing is on, one
-  /// immutable IndexedDatabase per distinct database is shared by all
-  /// workers; views and plans come from serving_cache(), and each canonical
-  /// shape x mode (with its approximation synthesis) is planned once,
-  /// however many workers miss on it. If a request throws (e.g. bad_alloc),
-  /// the pool winds down and the first exception is rethrown to the caller.
+  /// (optional) receives aggregate timing. One immutable IndexedDatabase
+  /// per distinct database is shared by all workers; views and plans come
+  /// from serving_cache(), and each canonical shape x mode (with its
+  /// approximation synthesis) is planned once, however many workers miss on
+  /// it. If a request throws (e.g. bad_alloc), the pool winds down and the
+  /// first exception is rethrown to the caller.
   std::vector<EvalResponse> EvaluateBatch(
       const std::vector<EvalRequest>& requests,
       BatchStats* stats = nullptr) const;
@@ -406,10 +397,9 @@ class QueryService {
   /// Streaming submission: enqueues one request on the persistent worker
   /// pool (started lazily on first call) and returns a future for its
   /// response. The answers equal what EvaluateBatch({request}) would
-  /// produce. Thread-safe. Plans and (when indexing is on) views go
-  /// through serving_cache(); concurrent first-sight requests of one shape
-  /// plan once. If the request throws, the exception is
-  /// delivered via the future.
+  /// produce. Thread-safe. Plans and views go through serving_cache();
+  /// concurrent first-sight requests of one shape plan once. If the request
+  /// throws, the exception is delivered via the future.
   ///
   /// Admission control: after Shutdown() — or when a concurrent Shutdown
   /// wins the race — Submit returns a failed future carrying

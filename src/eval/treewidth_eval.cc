@@ -14,18 +14,20 @@ namespace cqa {
 namespace {
 
 // Candidate values per variable: elements occurring at the variable's
-// positions in its atoms' relations (intersection across occurrences). With
+// positions in its atoms' relations (intersection across occurrences),
+// computed only for the variables `wanted` marks (others stay empty). With
 // a view, per-column value lists come from its cache (built once per
 // (relation, position), shared across queries and jobs).
 std::vector<std::vector<Element>> VariableCandidates(
     const ConjunctiveQuery& q, const Database& db, const IndexedDatabase* idb,
-    EvalStats* stats) {
+    const std::vector<bool>& wanted, EvalStats* stats) {
   const int n = q.num_variables();
   std::vector<std::vector<Element>> candidates(n);
   std::vector<bool> seeded(n, false);
   for (const Atom& atom : q.atoms()) {
     for (size_t pos = 0; pos < atom.vars.size(); ++pos) {
       const int v = atom.vars[pos];
+      if (!wanted[v]) continue;
       std::vector<Element> local;
       const std::vector<Element>* values = nullptr;
       if (idb != nullptr) {
@@ -221,7 +223,22 @@ AnswerSet RunTreewidth(const ConjunctiveQuery& q, const Database& db,
     CQA_CHECK(placed);
   }
 
-  const auto candidates = VariableCandidates(q, db, idb, stats);
+  // The scan BagTable enumerates every bag variable from its candidate
+  // list; the indexed bag search reads one only for a bag variable that no
+  // atom inside the bag mentions, so only those are computed.
+  std::vector<bool> wanted(q.num_variables(), idb == nullptr);
+  if (idb != nullptr) {
+    for (int i = 0; i < b; ++i) {
+      std::vector<bool> mentioned(q.num_variables(), false);
+      for (const Atom* atom : atoms_of_bag[i]) {
+        for (const int v : atom->vars) mentioned[v] = true;
+      }
+      for (const int v : td.bags[i]) {
+        if (!mentioned[v]) wanted[v] = true;
+      }
+    }
+  }
+  const auto candidates = VariableCandidates(q, db, idb, wanted, stats);
   std::vector<VarTable> tables(b);
   for (int i = 0; i < b; ++i) {
     tables[i] = idb != nullptr

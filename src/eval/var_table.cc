@@ -232,6 +232,10 @@ VarTable JoinProject(const VarTable& a, const VarTable& b,
     if (ctx != nullptr && ctx->Interrupted()) break;  // partial = subset
     for (size_t j = 0; j < pos_a.size(); ++j) key[j] = arows.at(r, pos_a[j]);
     for (const int id : index.Probe(key)) {
+      // One poll per emitted row as well: a wide join emits many rows per
+      // a-row, and the context samples the clock only every few hundred
+      // polls. A trip here is sticky, so the a-row poll above breaks next.
+      if (ctx != nullptr && ctx->Interrupted()) break;
       for (size_t i = 0; i < a_in_all.size(); ++i) {
         combined[a_in_all[i]] = arows.at(r, static_cast<int>(i));
       }

@@ -43,15 +43,28 @@ EvalLimits ExpiredDeadline() {
   return limits;
 }
 
-// TriangleOutputCQ projects to (x, z): a reported pair is genuine iff
-// E(z,x) holds and some y closes the triangle — direct membership checking
-// for databases too explosive to evaluate exactly.
-bool IsTrianglePair(const Database& db, const Tuple& t) {
-  if (!db.HasFact(0, {t[1], t[0]})) return false;
-  for (const Tuple& e : db.facts(0)) {
-    if (e[0] == t[0] && db.HasFact(0, {e[1], t[1]})) return true;
+// An oriented 5-clique with every variable free. Its width is 4, so exact
+// mode runs the naive backtracker, and on the dense graphs below it has
+// millions of answers: far beyond any test budget without a limit, with
+// indexing on.
+ConjunctiveQuery ExplosiveCliqueCQ() {
+  Rng rng(5);
+  return RandomTournamentCQ(5, 5, &rng);
+}
+
+// For a query whose variables are all free, a tuple is an answer iff every
+// atom's fact is in the database: one HasFact per atom, so answers of a
+// query too explosive to evaluate exactly can still be checked.
+bool SatisfiesEveryAtom(const ConjunctiveQuery& q, const Database& db,
+                        const Tuple& t) {
+  std::vector<Element> value(q.num_variables(), -1);
+  for (size_t i = 0; i < t.size(); ++i) value[q.free_variables()[i]] = t[i];
+  for (const Atom& atom : q.atoms()) {
+    Tuple fact;
+    for (const int v : atom.vars) fact.push_back(value[v]);
+    if (!db.HasFact(atom.rel, fact)) return false;
   }
-  return false;
+  return true;
 }
 
 // Every tuple of an interrupted response must be a genuine answer; in
@@ -218,17 +231,15 @@ TEST(BudgetTest, RequestLimitsOverrideServiceDefaults) {
 // ---------------------------------------------------------------------------
 // The headline latency property: an explosive query that would grind for a
 // very long time unbounded comes back promptly under a deadline, carrying
-// only genuine answers. (Scan-path triangle enumeration on a dense graph is
-// cubic in the fact count — far beyond any test budget without the limit.)
+// only genuine answers.
 TEST(DeadlineTest, ExplosiveQueryReturnsPromptlyAndSoundly) {
   Rng rng(123);
   const Database db =
       RandomDigraphDatabase(100, 0.5, &rng, /*allow_loops=*/true);
-  const ConjunctiveQuery q = TriangleOutputCQ();
+  const ConjunctiveQuery q = ExplosiveCliqueCQ();
 
   EvalOptions opts;
   opts.num_threads = 1;
-  opts.engine.use_index = false;  // force the scan path: no index shortcuts
   const QueryService service(opts);
 
   EvalRequest request{q, &db};
@@ -239,14 +250,53 @@ TEST(DeadlineTest, ExplosiveQueryReturnsPromptlyAndSoundly) {
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count();
+  ASSERT_EQ(r.engine, EngineKind::kNaive);
   EXPECT_EQ(r.status, ResponseStatus::kDeadlineExceeded);
   EXPECT_FALSE(r.exact);
   // Generous CI slack; the poll interval bounds overshoot to microseconds.
   EXPECT_LT(elapsed_ms, 1000.0);
-  // Soundness without an (unaffordable) exact run: every reported pair
-  // must be witnessed by a real triangle.
+  // Soundness without an (unaffordable) exact run.
   for (const Tuple& t : r.answers.tuples()) {
-    EXPECT_TRUE(IsTrianglePair(db, t));
+    EXPECT_TRUE(SatisfiesEveryAtom(q, db, t));
+  }
+}
+
+// Yannakakis' join-project can emit many rows per row of its left input:
+// here three disjoint edges with every variable free, a cross product of
+// the edge relation with itself. The deadline must stop it between emitted
+// rows, not only between left rows: each left row has ~20k partners, and
+// the context samples the clock only once per 256 polls.
+TEST(DeadlineTest, WideJoinStopsPromptly) {
+  Rng rng(123);
+  const Database db =
+      RandomDigraphDatabase(200, 0.5, &rng, /*allow_loops=*/true);
+  ConjunctiveQuery q(Vocabulary::Graph());
+  const int first = q.AddVariables(6);
+  for (int i = 0; i < 3; ++i) q.AddAtom(0, {first + 2 * i, first + 2 * i + 1});
+  q.SetFreeVariables({first, first + 1, first + 2, first + 3, first + 4,
+                      first + 5});
+
+  EvalOptions opts;
+  opts.num_threads = 1;
+  const QueryService service(opts);
+
+  EvalRequest request{q, &db};
+  request.limits.deadline_ms = 10.0;
+  // A first request builds the cached view's projection of E, so the timed
+  // one measures the join alone, not that unpolled O(|D|) build.
+  service.Evaluate(request);
+  const auto start = std::chrono::steady_clock::now();
+  const EvalResponse r = service.Evaluate(request);
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_EQ(r.engine, EngineKind::kYannakakis);
+  EXPECT_EQ(r.status, ResponseStatus::kDeadlineExceeded);
+  EXPECT_FALSE(r.exact);
+  EXPECT_LT(elapsed_ms, 250.0);
+  for (const Tuple& t : r.answers.tuples()) {
+    EXPECT_TRUE(SatisfiesEveryAtom(q, db, t));
   }
 }
 
@@ -274,11 +324,11 @@ TEST(DeadlineTest, MidSearchCancelStopsStreamingRequest) {
 
   EvalOptions opts;
   opts.num_threads = 1;
-  opts.engine.use_index = false;
   QueryService service(opts);
 
+  const ConjunctiveQuery q = ExplosiveCliqueCQ();
   const CancelFlag cancel = MakeCancelFlag();
-  EvalRequest request{TriangleOutputCQ(), &db};
+  EvalRequest request{q, &db};
   request.cancel = cancel;
   std::future<EvalResponse> future = service.Submit(request);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -288,7 +338,7 @@ TEST(DeadlineTest, MidSearchCancelStopsStreamingRequest) {
   EXPECT_EQ(r.status, ResponseStatus::kCancelled);
   EXPECT_FALSE(r.exact);
   for (const Tuple& t : r.answers.tuples()) {
-    EXPECT_TRUE(IsTrianglePair(db, t));
+    EXPECT_TRUE(SatisfiesEveryAtom(q, db, t));
   }
   // The future is fulfilled before the worker's bookkeeping; Drain
   // synchronizes with the counter update.
@@ -307,11 +357,10 @@ TEST(DeadlineTest, QueueWaitCountsAgainstDeadline) {
 
   EvalOptions opts;
   opts.num_threads = 1;
-  opts.engine.use_index = false;
   QueryService service(opts);
 
   const CancelFlag blocker_cancel = MakeCancelFlag();
-  EvalRequest blocker{TriangleOutputCQ(), &db};
+  EvalRequest blocker{ExplosiveCliqueCQ(), &db};
   blocker.cancel = blocker_cancel;
   std::future<EvalResponse> blocked = service.Submit(blocker);
 
@@ -397,13 +446,12 @@ TEST(AdmissionTest, OverloadDegradesThenRejects) {
 
   EvalOptions opts;
   opts.num_threads = 1;
-  opts.engine.use_index = false;
   opts.max_queue = 3;
   opts.degrade_queue = 1;
   QueryService service(opts);
 
   const CancelFlag blocker_cancel = MakeCancelFlag();
-  EvalRequest blocker{TriangleOutputCQ(), &big};
+  EvalRequest blocker{ExplosiveCliqueCQ(), &big};
   blocker.cancel = blocker_cancel;
   std::future<EvalResponse> blocked = service.Submit(blocker);
   // Let the worker dequeue the blocker so the queue length is deterministic.

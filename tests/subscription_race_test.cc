@@ -44,7 +44,6 @@ ConjunctiveQuery TwoPathQuery() {
 
 struct RaceConfig {
   AnswerMode mode = AnswerMode::kExact;
-  bool use_index = true;
   bool limited_subscriber = true;
 };
 
@@ -56,7 +55,6 @@ void RunRace(const RaceConfig& cfg) {
   EvalOptions opts;
   opts.num_threads = 1;
   opts.planner.width_budget = 1;
-  opts.engine.use_index = cfg.use_index;
   opts.cache = std::make_shared<EvalCache>();
   QueryService service(opts);
 
@@ -167,23 +165,15 @@ void RunRace(const RaceConfig& cfg) {
 }
 
 TEST(SubscriptionRaceTest, ExactModeWriterVsPollers) {
-  RunRace({AnswerMode::kExact, /*use_index=*/true,
-           /*limited_subscriber=*/true});
-}
-
-TEST(SubscriptionRaceTest, ExactModeScanPath) {
-  RunRace({AnswerMode::kExact, /*use_index=*/false,
-           /*limited_subscriber=*/true});
+  RunRace({AnswerMode::kExact, /*limited_subscriber=*/true});
 }
 
 TEST(SubscriptionRaceTest, BoundsModeWriterVsPollers) {
-  RunRace({AnswerMode::kBounds, /*use_index=*/true,
-           /*limited_subscriber=*/false});
+  RunRace({AnswerMode::kBounds, /*limited_subscriber=*/false});
 }
 
 TEST(SubscriptionRaceTest, OverModeWriterVsPollers) {
-  RunRace({AnswerMode::kOverApproximate, /*use_index=*/true,
-           /*limited_subscriber=*/false});
+  RunRace({AnswerMode::kOverApproximate, /*limited_subscriber=*/false});
 }
 
 // Two writer threads on the same database: Publish serializes them on the
