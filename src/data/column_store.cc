@@ -56,15 +56,20 @@ size_t RowSet::ApproxBytes() const {
          table_.capacity() * sizeof(uint32_t);
 }
 
+size_t RowSet::Slot(std::span<const Element> row) const {
+  size_t i = HashFinalize(HashSpan(row)) & mask_;
+  while (table_[i] != 0 && !store_.RowEquals(table_[i] - 1, row)) {
+    i = (i + 1) & mask_;
+  }
+  return i;
+}
+
 bool RowSet::Insert(std::span<const Element> row) {
   if ((store_.size() + 1) * 2 > table_.size()) {
     Rehash(NextPow2AtLeast((store_.size() + 1) * 2));
   }
-  size_t i = HashFinalize(HashSpan(row)) & mask_;
-  while (table_[i] != 0) {
-    if (store_.RowEquals(table_[i] - 1, row)) return false;
-    i = (i + 1) & mask_;
-  }
+  const size_t i = Slot(row);
+  if (table_[i] != 0) return false;
   table_[i] = static_cast<uint32_t>(store_.size()) + 1;
   store_.AppendRow(row);
   return true;

@@ -133,6 +133,11 @@ class RowSet {
   /// True iff the row was new (and is now stored).
   bool Insert(std::span<const Element> row);
 
+  /// True iff the row was inserted before.
+  bool Contains(std::span<const Element> row) const {
+    return !table_.empty() && table_[Slot(row)] != 0;
+  }
+
   const ColumnStore& rows() const { return store_; }
   size_t size() const { return store_.size(); }
 
@@ -144,6 +149,8 @@ class RowSet {
 
  private:
   void Rehash(size_t new_capacity);
+  /// The table slot holding `row`, or the empty slot where it would go.
+  size_t Slot(std::span<const Element> row) const;
 
   ColumnStore store_;
   std::vector<uint32_t> table_;  // row id + 1; 0 = empty slot

@@ -40,6 +40,7 @@ bool DeltaEvaluator::ApplyFact(const DeltaFact& fact,
   if (free_vars.empty() && (existing.AsBoolean() || out->AsBoolean())) {
     return true;
   }
+  std::vector<Element> answer(free_vars.size());
   for (size_t i = 0; i < seeds_.size(); ++i) {
     if (atom_rels_[i] != fact.rel) continue;
     if (ctx_ != nullptr && ctx_->Interrupted()) return false;
@@ -58,13 +59,12 @@ bool DeltaEvaluator::ApplyFact(const DeltaFact& fact,
     }
     if (!consistent) continue;
     seed.search->Search(&assignment_, [&](std::span<const Element> a) {
-      Tuple answer(free_vars.size());
       for (size_t k = 0; k < free_vars.size(); ++k) {
         answer[k] = a[free_vars[k]];
         CQA_CHECK(answer[k] >= 0);
       }
       if (existing.Contains(answer)) return false;
-      if (!out->Insert(std::move(answer))) return false;
+      if (!out->Insert(answer)) return false;
       return ctx_ != nullptr && ctx_->RecordAnswer();
     });
     if (ctx_ != nullptr && !ctx_->ok()) return false;

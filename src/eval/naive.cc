@@ -30,13 +30,13 @@ AnswerSet RunNaive(const ConjunctiveQuery& q, const Database& db,
   ProbeBacktracker search(OrderedProbeAtoms(q), q.num_variables(),
                           std::vector<bool>(q.num_variables(), false), db,
                           idb, stats, ectx);
+  std::vector<Element> answer(free_tuple.size());
   search.Search(&assignment, [&](std::span<const Element> a) {
-    Tuple answer(free_tuple.size());
     for (size_t i = 0; i < free_tuple.size(); ++i) {
       answer[i] = a[free_tuple[i]];
       CQA_CHECK(answer[i] >= 0);
     }
-    answers.Insert(std::move(answer));
+    answers.Insert(answer);
     return ectx != nullptr && ectx->RecordAnswer();
   });
   return answers;

@@ -68,8 +68,7 @@ PlanRun RunPlan(const ConjunctiveQuery& query, const PlanDecision& plan,
               {}};
   for (const ApproxSubPlan& sub : plan.under) {
     if (!live()) break;
-    const AnswerSet part = evaluate(sub.query, sub.kind);
-    for (const Tuple& t : part.tuples()) run.certain.Insert(t);
+    run.certain.InsertAll(evaluate(sub.query, sub.kind));
   }
   for (const ApproxSubPlan& sub : plan.over) {
     if (!live()) break;
@@ -84,13 +83,13 @@ PlanRun RunPlan(const ConjunctiveQuery& query, const PlanDecision& plan,
 AnswerSet IntersectionOf(const std::vector<AnswerSet>& parts, int arity) {
   AnswerSet result(arity);
   if (parts.empty()) return result;
-  for (const Tuple& t : parts[0].tuples()) {
+  parts[0].ForEachRow([&](std::span<const Element> row) {
     bool in_all = true;
     for (size_t i = 1; i < parts.size() && in_all; ++i) {
-      in_all = parts[i].Contains(t);
+      in_all = parts[i].Contains(row);
     }
-    if (in_all) result.Insert(t);
-  }
+    if (in_all) result.Insert(row);
+  });
   return result;
 }
 
@@ -547,18 +546,18 @@ bool Subscription::RunBaseline(const IndexedDatabase& idb,
   // Partial results of an interrupted run are kept: they are proven answers
   // and insertions never remove one (monotonicity), so merging them in is
   // sound, and the next baseline completes the set.
-  for (const Tuple& t : run.certain.tuples()) {
-    if (certain_.Insert(t)) out->new_answers.Insert(t);
-  }
+  run.certain.ForEachRow([&](std::span<const Element> row) {
+    if (certain_.Insert(row)) out->new_answers.Insert(row);
+  });
   if (ctx != nullptr && !ctx->ok()) return false;
   // The over parts are replaced only by a complete set. Each grew with the
   // database, so their fresh intersection contains every possible answer
   // reported before: merging keeps reported answers stable.
   over_parts_ = std::move(run.over_parts);
   const AnswerSet possible = IntersectionOf(over_parts_, possible_.arity());
-  for (const Tuple& t : possible.tuples()) {
-    if (possible_.Insert(t)) out->new_possible.Insert(t);
-  }
+  possible.ForEachRow([&](std::span<const Element> row) {
+    if (possible_.Insert(row)) out->new_possible.Insert(row);
+  });
   initialized_ = true;
   return true;
 }
@@ -604,30 +603,22 @@ size_t Subscription::ApplyDelta(const std::vector<DeltaFact>& delta,
       }
     }
     if (!complete) break;
-    for (const Tuple& t : under_fresh.tuples()) {
-      certain_.Insert(t);
-      out->new_answers.Insert(t);
-    }
+    certain_.InsertAll(under_fresh);
+    out->new_answers.InsertAll(under_fresh);
     for (size_t j = 0; j < over_fresh.size(); ++j) {
-      for (const Tuple& t : over_fresh[j].tuples()) over_parts_[j].Insert(t);
+      over_parts_[j].InsertAll(over_fresh[j]);
     }
     // A tuple newly enters the intersection only if some part just gained
     // it, so the fresh sets are a complete candidate list.
     for (const AnswerSet& fresh : over_fresh) {
-      for (const Tuple& t : fresh.tuples()) {
-        if (possible_.Contains(t)) continue;
-        bool in_all = true;
+      fresh.ForEachRow([&](std::span<const Element> row) {
+        if (possible_.Contains(row)) return;
         for (const AnswerSet& part : over_parts_) {
-          if (!part.Contains(t)) {
-            in_all = false;
-            break;
-          }
+          if (!part.Contains(row)) return;
         }
-        if (in_all) {
-          possible_.Insert(t);
-          out->new_possible.Insert(t);
-        }
-      }
+        possible_.Insert(row);
+        out->new_possible.Insert(row);
+      });
     }
     ++applied;
   }

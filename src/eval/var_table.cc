@@ -386,24 +386,35 @@ AnswerSet EvaluateJoinForest(std::vector<VarTable> tables,
                      with_parent.end(), std::back_inserter(merged));
       keep = std::move(merged);
     }
-    VarTable acc = tables[u];
+    std::vector<int> kids;
     for (const int c : children[u]) {
-      if (!needed[c]) continue;
-      std::vector<int> wanted;
-      std::set_union(keep.begin(), keep.end(), acc.vars.begin(),
-                     acc.vars.end(), std::back_inserter(wanted));
+      if (needed[c]) kids.push_back(c);
+    }
+    VarTable acc = tables[u];
+    for (size_t i = 0; i < kids.size(); ++i) {
+      // Each join keeps `keep` plus the join keys of the children still to
+      // come, and drops every other variable: nothing reads it again, and
+      // carrying it would multiply the rows (a 2-path projected to its far
+      // end would hold every path instead of every end point).
+      std::vector<int> wanted = keep;
+      for (size_t j = i + 1; j < kids.size(); ++j) {
+        std::vector<int> merged;
+        std::set_union(wanted.begin(), wanted.end(),
+                       solved[kids[j]].vars.begin(),
+                       solved[kids[j]].vars.end(), std::back_inserter(merged));
+        wanted = std::move(merged);
+      }
       // Restrict to the variables this join can actually produce: `keep`
-      // also lists free variables of *sibling* subtrees, which only become
-      // available once their own child join runs (keeping acc.vars keeps
-      // every later join key — children connect through u's bag, which acc
-      // holds from the start).
+      // also lists free variables of sibling subtrees that only become
+      // available once their own child join runs.
       std::vector<int> available;
-      std::set_union(acc.vars.begin(), acc.vars.end(), solved[c].vars.begin(),
-                     solved[c].vars.end(), std::back_inserter(available));
+      std::set_union(acc.vars.begin(), acc.vars.end(),
+                     solved[kids[i]].vars.begin(), solved[kids[i]].vars.end(),
+                     std::back_inserter(available));
       std::vector<int> step_keep;
       std::set_intersection(wanted.begin(), wanted.end(), available.begin(),
                             available.end(), std::back_inserter(step_keep));
-      acc = JoinProject(acc, solved[c], step_keep, ctx);
+      acc = JoinProject(acc, solved[kids[i]], step_keep, ctx);
     }
     solved[u] = Project(acc, keep);
   }
@@ -435,13 +446,14 @@ AnswerSet EvaluateJoinForest(std::vector<VarTable> tables,
   // Emission: every row of `result` is a genuine answer (joins of shrunken
   // tables only lose answers), so stopping mid-loop stays sound.
   const ColumnStore& rows = result.Rows();
+  std::vector<std::span<const Element>> cols;
+  for (const int pos : tuple_pos) cols.push_back(rows.Column(pos));
+  std::vector<Element> answer(free_tuple.size());
+  answers.Reserve(rows.size());  // the rows are distinct already
   for (size_t r = 0; r < rows.size(); ++r) {
     if (ctx != nullptr && ctx->Interrupted()) break;
-    Tuple answer(free_tuple.size());
-    for (size_t i = 0; i < tuple_pos.size(); ++i) {
-      answer[i] = rows.at(r, tuple_pos[i]);
-    }
-    answers.Insert(std::move(answer));
+    for (size_t i = 0; i < cols.size(); ++i) answer[i] = cols[i][r];
+    answers.Insert(answer);
     if (ctx != nullptr && ctx->RecordAnswer()) break;
   }
   return answers;

@@ -57,28 +57,32 @@ std::optional<Json> CqaClient::CallChecked(Json request) {
   return response;
 }
 
-void CqaClient::ParseRows(const Json& rows,
+void CqaClient::ParseRows(Json rows,
                           std::vector<std::vector<std::string>>* out) {
   if (!rows.is_array()) return;
-  for (const Json& row : rows.items()) {
+  std::vector<Json>&& items = std::move(rows).items();
+  out->reserve(out->size() + items.size());
+  for (Json& row : items) {
     std::vector<std::string> tuple;
     if (row.is_array()) {
-      for (const Json& cell : row.items()) {
-        tuple.push_back(cell.is_string() ? cell.AsString() : cell.Dump());
+      std::vector<Json>&& cells = std::move(row).items();
+      tuple.reserve(cells.size());
+      for (Json& cell : cells) {
+        tuple.push_back(cell.is_string() ? std::move(cell).AsString()
+                                         : cell.Dump());
       }
     }
     out->push_back(std::move(tuple));
   }
 }
 
-CqaClient::Page CqaClient::ParsePage(const Json& response,
-                                     const char* rows_key,
+CqaClient::Page CqaClient::ParsePage(Json* response, const char* rows_key,
                                      const char* cursor_key,
                                      const char* more_key) {
   Page page;
-  if (const Json* rows = response.Find(rows_key)) ParseRows(*rows, &page.rows);
-  page.cursor = response.GetString(cursor_key);
-  page.more = response.GetBool(more_key);
+  ParseRows(response->Take(rows_key), &page.rows);
+  page.cursor = response->GetString(cursor_key);
+  page.more = response->GetBool(more_key);
   return page;
 }
 
@@ -99,8 +103,8 @@ std::optional<CqaClient::EvalResult> CqaClient::Eval(const EvalParams& p) {
   std::optional<Json> response = CallChecked(std::move(req));
   if (!response.has_value()) return std::nullopt;
   EvalResult out;
-  out.answers = ParsePage(*response, "answers", "cursor", "more");
-  out.over = ParsePage(*response, "over", "over_cursor", "over_more");
+  out.answers = ParsePage(&response.value(), "answers", "cursor", "more");
+  out.over = ParsePage(&response.value(), "over", "over_cursor", "over_more");
   out.mode = response->GetString("mode");
   out.status = response->GetString("status");
   out.exact = response->GetBool("exact");
@@ -122,7 +126,7 @@ std::optional<CqaClient::Page> CqaClient::Fetch(const std::string& cursor,
   if (limit > 0) req.Set("limit", Json::Number(static_cast<double>(limit)));
   std::optional<Json> response = CallChecked(std::move(req));
   if (!response.has_value()) return std::nullopt;
-  return ParsePage(*response, "answers", "cursor", "more");
+  return ParsePage(&response.value(), "answers", "cursor", "more");
 }
 
 bool CqaClient::CloseCursor(const std::string& cursor) {

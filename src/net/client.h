@@ -70,7 +70,7 @@ class CqaClient {
     bool over_valid = true;
     long long answer_count = 0;
     long long possible_count = 0;  ///< "bounds" only
-    Json raw;           ///< the full response object
+    Json raw;           ///< the response object, less the page rows
   };
 
   std::optional<EvalResult> Eval(const EvalParams& params);
@@ -104,9 +104,10 @@ class CqaClient {
  private:
   /// Runs Call and unwraps: nullopt + last_error() unless {"ok":true}.
   std::optional<Json> CallChecked(Json request);
-  static void ParseRows(const Json& rows,
-                        std::vector<std::vector<std::string>>* out);
-  static Page ParsePage(const Json& response, const char* rows_key,
+  /// Moves the names out of a parsed rows array (no second copy per cell).
+  static void ParseRows(Json rows, std::vector<std::vector<std::string>>* out);
+  /// Takes the page's rows out of `response` and reads its cursor fields.
+  static Page ParsePage(Json* response, const char* rows_key,
                         const char* cursor_key, const char* more_key);
 
   UniqueFd fd_;

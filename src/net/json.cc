@@ -1,9 +1,12 @@
 #include "net/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <unordered_map>
 
 #include "base/check.h"
 
@@ -12,46 +15,18 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);  // UTF-8 bytes pass through untouched
-        }
-    }
-  }
-  out->push_back('"');
-}
+// An object of up to this many keys finds a repeated key by a linear scan;
+// a larger one indexes its keys, so parsing stays linear in the key count.
+constexpr size_t kLinearKeys = 16;
 
 void AppendNumber(double n, std::string* out) {
   // Counters and ids dominate the protocol: print 53-bit-safe integers
   // without a decimal point so they round-trip as written.
   if (std::isfinite(n) && n == std::floor(n) && std::fabs(n) < 9.0e15) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(n));
-    *out += buf;
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(n));
+    out->append(buf, r.ptr);
     return;
   }
   char buf[40];
@@ -59,10 +34,14 @@ void AppendNumber(double n, std::string* out) {
   *out += buf;
 }
 
-/// Recursive-descent parser over a string_view with a cursor.
-class Parser {
+}  // namespace
+
+/// Recursive-descent parser over a string_view with a cursor. Values are
+/// parsed in place; array elements gather on one scratch stack and move
+/// into an exactly sized vector when their array closes.
+class JsonParser {
  public:
-  Parser(std::string_view text, std::string* error)
+  JsonParser(std::string_view text, std::string* error)
       : text_(text), error_(error) {}
 
   std::optional<Json> Run() {
@@ -106,20 +85,16 @@ class Parser {
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     switch (text_[pos_]) {
       case 'n':
-        *out = Json::Null();
+        out->value_ = std::monostate();
         return Literal("null");
       case 't':
-        *out = Json::Bool(true);
+        out->value_ = true;
         return Literal("true");
       case 'f':
-        *out = Json::Bool(false);
+        out->value_ = false;
         return Literal("false");
-      case '"': {
-        std::string s;
-        if (!ParseString(&s)) return false;
-        *out = Json::Str(std::move(s));
-        return true;
-      }
+      case '"':
+        return ParseString(&out->value_.emplace<std::string>());
       case '[':
         return ParseArray(out, depth);
       case '{':
@@ -143,7 +118,7 @@ class Parser {
     char* end = nullptr;
     const double n = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') return Fail("invalid number");
-    *out = Json::Number(n);
+    out->value_ = n;
     return true;
   }
 
@@ -189,13 +164,15 @@ class Parser {
   bool ParseString(std::string* out) {
     ++pos_;  // opening quote
     for (;;) {
-      if (pos_ >= text_.size()) return Fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
+      // Copy the run up to the next quote or escape in one append.
+      size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\') {
+        ++run;
       }
+      out->append(text_.data() + pos_, run - pos_);
+      pos_ = run;
+      if (pos_ >= text_.size()) return Fail("unterminated string");
+      if (text_[pos_++] == '"') return true;
       if (pos_ >= text_.size()) return Fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -244,17 +221,20 @@ class Parser {
 
   bool ParseArray(Json* out, int depth) {
     ++pos_;  // '['
-    *out = Json::Array();
+    const size_t base = scratch_.size();
     SkipWs();
     if (pos_ < text_.size() && text_[pos_] == ']') {
       ++pos_;
+      out->value_ = std::vector<Json>();
       return true;
     }
     for (;;) {
+      // Parsed into a local: a nested array grows scratch_, which would
+      // move an element parsed in place there.
       Json element;
       SkipWs();
       if (!ParseValue(&element, depth + 1)) return false;
-      out->Append(std::move(element));
+      scratch_.push_back(std::move(element));
       SkipWs();
       if (pos_ >= text_.size()) return Fail("unterminated array");
       if (text_[pos_] == ',') {
@@ -263,6 +243,10 @@ class Parser {
       }
       if (text_[pos_] == ']') {
         ++pos_;
+        const auto first = scratch_.begin() + static_cast<ptrdiff_t>(base);
+        out->value_ = std::vector<Json>(std::make_move_iterator(first),
+                                        std::make_move_iterator(scratch_.end()));
+        scratch_.erase(first, scratch_.end());
         return true;
       }
       return Fail("expected ',' or ']'");
@@ -271,10 +255,12 @@ class Parser {
 
   bool ParseObject(Json* out, int depth) {
     ++pos_;  // '{'
-    *out = Json::Object();
+    Json::Fields fields;
+    std::unordered_map<std::string, size_t> index;  // past kLinearKeys keys
     SkipWs();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
+      out->value_ = std::move(fields);
       return true;
     }
     for (;;) {
@@ -292,7 +278,29 @@ class Parser {
       SkipWs();
       Json value;
       if (!ParseValue(&value, depth + 1)) return false;
-      out->Set(std::move(key), std::move(value));
+      // A repeated key replaces the earlier value in the earlier key's
+      // place, as Json::Set does.
+      size_t at = fields.size();
+      if (fields.size() <= kLinearKeys) {
+        for (size_t i = 0; i < fields.size(); ++i) {
+          if (fields[i].first == key) {
+            at = i;
+            break;
+          }
+        }
+      } else {
+        if (index.empty()) {
+          for (size_t i = 0; i < fields.size(); ++i) {
+            index.emplace(fields[i].first, i);
+          }
+        }
+        at = index.emplace(key, fields.size()).first->second;
+      }
+      if (at < fields.size()) {
+        fields[at].second = std::move(value);
+      } else {
+        fields.emplace_back(std::move(key), std::move(value));
+      }
       SkipWs();
       if (pos_ >= text_.size()) return Fail("unterminated object");
       if (text_[pos_] == ',') {
@@ -301,6 +309,7 @@ class Parser {
       }
       if (text_[pos_] == '}') {
         ++pos_;
+        out->value_ = std::move(fields);
         return true;
       }
       return Fail("expected ',' or '}'");
@@ -310,92 +319,117 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   size_t pos_ = 0;
+  std::vector<Json> scratch_;  // elements of the open arrays, innermost last
 };
-
-}  // namespace
 
 Json Json::Bool(bool b) {
   Json j;
-  j.kind_ = Kind::kBool;
-  j.bool_ = b;
+  j.value_ = b;
   return j;
 }
 
 Json Json::Number(double n) {
   Json j;
-  j.kind_ = Kind::kNumber;
-  j.number_ = n;
+  j.value_ = n;
   return j;
 }
 
 Json Json::Str(std::string s) {
   Json j;
-  j.kind_ = Kind::kString;
-  j.string_ = std::move(s);
+  j.value_ = std::move(s);
   return j;
 }
 
 Json Json::Array() {
   Json j;
-  j.kind_ = Kind::kArray;
+  j.value_ = std::vector<Json>();
   return j;
 }
 
 Json Json::Object() {
   Json j;
-  j.kind_ = Kind::kObject;
+  j.value_ = Fields();
+  return j;
+}
+
+Json Json::Raw(std::string encoded) {
+  Json j;
+  j.value_ = Encoded{std::move(encoded)};
   return j;
 }
 
 bool Json::AsBool() const {
   CQA_CHECK(is_bool());
-  return bool_;
+  return std::get<bool>(value_);
 }
 
 double Json::AsNumber() const {
   CQA_CHECK(is_number());
-  return number_;
+  return std::get<double>(value_);
 }
 
-const std::string& Json::AsString() const {
+const std::string& Json::AsString() const& {
   CQA_CHECK(is_string());
-  return string_;
+  return std::get<std::string>(value_);
 }
 
-const std::vector<Json>& Json::items() const {
+std::string&& Json::AsString() && {
+  CQA_CHECK(is_string());
+  return std::get<std::string>(std::move(value_));
+}
+
+const std::vector<Json>& Json::items() const& {
   CQA_CHECK(is_array());
-  return items_;
+  return std::get<std::vector<Json>>(value_);
+}
+
+std::vector<Json>&& Json::items() && {
+  CQA_CHECK(is_array());
+  return std::get<std::vector<Json>>(std::move(value_));
 }
 
 Json& Json::Append(Json value) {
   CQA_CHECK(is_array());
-  items_.push_back(std::move(value));
+  std::get<std::vector<Json>>(value_).push_back(std::move(value));
   return *this;
 }
 
 Json& Json::Set(std::string key, Json value) {
   CQA_CHECK(is_object());
-  for (auto& [k, v] : fields_) {
+  Fields& fields = std::get<Fields>(value_);
+  for (auto& [k, v] : fields) {
     if (k == key) {
       v = std::move(value);
       return *this;
     }
   }
-  fields_.emplace_back(std::move(key), std::move(value));
+  fields.emplace_back(std::move(key), std::move(value));
   return *this;
 }
 
 const Json* Json::Find(std::string_view key) const {
-  CQA_CHECK(is_object());
-  for (const auto& [k, v] : fields_) {
+  for (const auto& [k, v] : fields()) {
     if (k == key) return &v;
   }
   return nullptr;
 }
 
+Json Json::Take(std::string_view key) {
+  CQA_CHECK(is_object());
+  Fields& fields = std::get<Fields>(value_);
+  for (auto it = fields.begin(); it != fields.end(); ++it) {
+    if (it->first == key) {
+      Json value = std::move(it->second);
+      fields.erase(it);
+      return value;
+    }
+  }
+  return Json();
+}
+
 const std::vector<std::pair<std::string, Json>>& Json::fields() const {
   CQA_CHECK(is_object());
-  return fields_;
+  return std::get<Fields>(value_);
 }
 
 std::string Json::GetString(std::string_view key, std::string def) const {
@@ -413,48 +447,92 @@ bool Json::GetBool(std::string_view key, bool def) const {
   return (v != nullptr && v->is_bool()) ? v->AsBool() : def;
 }
 
+void Json::AppendQuoted(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  size_t run = 0;  // start of the bytes not yet written
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;  // UTF-8 passes as is
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        *out += "\\u00";
+        out->push_back(kHex[c >> 4]);
+        out->push_back(kHex[c & 0xF]);
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+  out->push_back('"');
+}
+
 std::string Json::Dump() const {
   std::string out;
-  switch (kind_) {
+  DumpTo(&out);
+  return out;
+}
+
+void Json::DumpTo(std::string* out) const {
+  switch (kind()) {
     case Kind::kNull:
-      out = "null";
+      *out += "null";
       break;
     case Kind::kBool:
-      out = bool_ ? "true" : "false";
+      *out += std::get<bool>(value_) ? "true" : "false";
       break;
     case Kind::kNumber:
-      AppendNumber(number_, &out);
+      AppendNumber(std::get<double>(value_), out);
       break;
     case Kind::kString:
-      AppendEscaped(string_, &out);
+      AppendQuoted(std::get<std::string>(value_), out);
       break;
     case Kind::kArray: {
-      out.push_back('[');
-      for (size_t i = 0; i < items_.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        out += items_[i].Dump();
+      out->push_back('[');
+      const std::vector<Json>& items = std::get<std::vector<Json>>(value_);
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) out->push_back(',');
+        items[i].DumpTo(out);
       }
-      out.push_back(']');
+      out->push_back(']');
       break;
     }
     case Kind::kObject: {
-      out.push_back('{');
-      for (size_t i = 0; i < fields_.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        AppendEscaped(fields_[i].first, &out);
-        out.push_back(':');
-        out += fields_[i].second.Dump();
+      out->push_back('{');
+      const Fields& fields = std::get<Fields>(value_);
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (i > 0) out->push_back(',');
+        AppendQuoted(fields[i].first, out);
+        out->push_back(':');
+        fields[i].second.DumpTo(out);
       }
-      out.push_back('}');
+      out->push_back('}');
       break;
     }
+    case Kind::kRaw:
+      *out += std::get<Encoded>(value_).text;
+      break;
   }
-  return out;
 }
 
 std::optional<Json> Json::Parse(std::string_view text, std::string* error) {
   if (error != nullptr) error->clear();
-  return Parser(text, error).Run();
+  return JsonParser(text, error).Run();
 }
 
 }  // namespace cqa

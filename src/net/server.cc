@@ -32,14 +32,23 @@ Json MakeError(const char* code, std::string message,
   return out;
 }
 
-Json RowsJson(std::span<const Tuple> rows, const Database& db) {
-  Json arr = Json::Array();
-  for (const Tuple& t : rows) {
-    Json row = Json::Array();
-    for (const Element e : t) row.Append(Json::Str(db.ElementName(e)));
-    arr.Append(std::move(row));
+// A page's rows as the envelope carries them: an array of rows of element
+// names, encoded straight from the cursor into one JSON text with Json's
+// string escaping. The bytes are those Dump writes for the same rows built
+// as Json::Str names, with no Json node per cell.
+Json PageRows(std::span<const Tuple> rows, const Database& db) {
+  std::string out = "[";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out.push_back('[');
+    for (size_t j = 0; j < rows[i].size(); ++j) {
+      if (j > 0) out.push_back(',');
+      Json::AppendQuoted(db.ElementName(rows[i][j]), &out);
+    }
+    out.push_back(']');
   }
-  return arr;
+  out.push_back(']');
+  return Json::Raw(std::move(out));
 }
 
 bool ParseMode(const std::string& name, AnswerMode* out) {
@@ -320,7 +329,7 @@ Json CqaServer::HandleEval(const Json& request) {
   out.Set("arity", Json::Number(static_cast<double>(cur.answers->arity())));
   out.Set("answer_count",
           Json::Number(static_cast<double>(cur.answers->size())));
-  out.Set("answers", RowsJson(cur.answers->Page(0, limit), *entry->db));
+  out.Set("answers", PageRows(cur.answers->Page(0, limit), *entry->db));
   const bool more = limit < cur.answers->size();
   out.Set("more", Json::Bool(more));
   if (more) {
@@ -334,7 +343,7 @@ Json CqaServer::HandleEval(const Json& request) {
     out.Set("possible_count",
             Json::Number(static_cast<double>(cur.over->size())));
     out.Set("over_valid", Json::Bool(cur.meta.bounds->over_valid));
-    out.Set("over", RowsJson(cur.over->Page(0, limit), *entry->db));
+    out.Set("over", PageRows(cur.over->Page(0, limit), *entry->db));
     const bool over_more = limit < cur.over->size();
     out.Set("over_more", Json::Bool(over_more));
     if (over_more) {
@@ -397,7 +406,7 @@ Json CqaServer::HandleFetch(const Json& request) {
   const bool more = next < cursor->size();
   Json out = Json::Object();
   out.Set("ok", Json::Bool(true));
-  out.Set("answers", RowsJson(page, *entry->db));
+  out.Set("answers", PageRows(page, *entry->db));
   out.Set("more", Json::Bool(more));
   out.Set("done", Json::Bool(!more));
   if (more) {

@@ -2,6 +2,10 @@
 // backtracking, Yannakakis (acyclic), bounded-treewidth DP.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <cstdio>
+#include <optional>
 
 #include "base/rng.h"
 #include "cq/parse.h"
@@ -31,6 +35,35 @@ TEST(AnswerSetTest, BasicOps) {
   EXPECT_TRUE(s.IsSubsetOf(t));
   EXPECT_FALSE(t.IsSubsetOf(s));
   EXPECT_FALSE(s == t);
+}
+
+// Heap bytes the allocator has handed out, mmapped blocks included (0 when
+// an instrumented allocator, such as ASan's, leaves glibc's counters idle).
+size_t HeapBytesInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// Answers are flat: a binary row costs its two values plus a few hash-table
+// bytes, with no heap tuple per row (an unordered_set of Tuples took about
+// 94 B). Reports the cost measured from the allocator and from capacities.
+TEST(AnswerSetTest, BytesPerBinaryRow) {
+  constexpr int kRows = 100000;
+  const size_t before = HeapBytesInUse();
+  std::optional<AnswerSet> set(std::in_place, 2);
+  for (int i = 0; i < kRows; ++i) set->Insert({i % 1000, i / 1000});
+  ASSERT_EQ(set->size(), static_cast<size_t>(kRows));
+  const size_t after = HeapBytesInUse();
+  const double by_capacity = static_cast<double>(set->ApproxBytes()) / kRows;
+  std::printf("AnswerSet: %.1f B per binary row by capacity (%d rows)\n",
+              by_capacity, kRows);
+  EXPECT_LE(by_capacity, 32.0);
+  if (after > before) {
+    const double by_allocator = static_cast<double>(after - before) / kRows;
+    std::printf("AnswerSet: %.1f B per binary row by the allocator\n",
+                by_allocator);
+    EXPECT_LE(by_allocator, 32.0);
+  }
 }
 
 TEST(NaiveTest, TriangleOnTriangle) {

@@ -9,14 +9,18 @@
 // STATS, and graceful drain. The concurrency test rides the TSan CI job.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cq/parse.h"
@@ -26,6 +30,7 @@
 #include "net/client.h"
 #include "net/json.h"
 #include "net/server.h"
+#include "net/wire.h"
 
 namespace cqa {
 namespace {
@@ -51,6 +56,29 @@ TEST(JsonTest, RoundTrip) {
   EXPECT_NE(v->Dump().find("\"n\":42,"), std::string::npos);
 }
 
+// A repeated key replaces the earlier value in the earlier key's place, in
+// a small object and in one large enough to be parsed through a key index.
+TEST(JsonTest, RepeatedKeyReplacesInPlace) {
+  std::optional<Json> small = Json::Parse(R"({"a":1,"b":2,"a":3})");
+  ASSERT_TRUE(small.has_value());
+  EXPECT_EQ(small->Dump(), R"({"a":3,"b":2})");
+
+  std::string text = "{";
+  std::string want = "{";
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "\"k" + std::to_string(i) + "\":";
+    text += key + std::to_string(i) + ",";
+    want += key + (i == 7 ? std::string("\"x\"") : std::to_string(i)) +
+            (i + 1 < 200 ? "," : "}");
+  }
+  text += R"("k7":"x"})";
+  std::optional<Json> large = Json::Parse(text);
+  ASSERT_TRUE(large.has_value());
+  EXPECT_EQ(large->fields().size(), 200u);
+  EXPECT_EQ(large->GetString("k7"), "x");
+  EXPECT_EQ(large->Dump(), want);
+}
+
 TEST(JsonTest, StrictParseRejectsGarbage) {
   EXPECT_FALSE(Json::Parse("{\"a\":1} trailing").has_value());
   EXPECT_FALSE(Json::Parse("{\"a\":}").has_value());
@@ -59,6 +87,88 @@ TEST(JsonTest, StrictParseRejectsGarbage) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += "[";
   EXPECT_FALSE(Json::Parse(deep).has_value());
+}
+
+// --------------------------------------------------------- FrameReader --
+
+// A connected stream pair: bytes written to `writer` arrive at `reader`.
+struct StreamPair {
+  UniqueFd writer;
+  UniqueFd reader;
+};
+
+StreamPair MakeStreamPair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return StreamPair{UniqueFd(fds[0]), UniqueFd(fds[1])};
+}
+
+void SendRaw(const UniqueFd& fd, const std::string& bytes) {
+  ASSERT_EQ(::send(fd.get(), bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+// Sends `bytes`, closes the writer when `close_after`, and returns what one
+// FrameReader::Next (payload limit `max_bytes`) makes of them.
+FrameReader::Result ReadOne(const std::string& bytes, bool close_after,
+                            size_t max_bytes, std::string* error) {
+  StreamPair pair = MakeStreamPair();
+  SendRaw(pair.writer, bytes);
+  if (close_after) pair.writer.Reset();
+  FrameReader reader(pair.reader.get(), max_bytes);
+  std::string payload;
+  return reader.Next(&payload, error);
+}
+
+TEST(FrameReaderTest, MalformedFramesAreTypedErrors) {
+  struct Case {
+    std::string bytes;
+    bool close_after;
+    size_t max_bytes;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"5\nab", true, 64, "EOF inside a frame"},
+      {"12", true, 64, "EOF inside a frame"},
+      {std::string(40, '1'), false, 64, "frame length line too long"},
+      {"1x\nab\n", false, 64, "malformed frame length"},
+      {"\nab\n", false, 64, "malformed frame length"},
+      {"12345678901234567890\n", false, 64, "malformed frame length"},
+      {"11\nhello world\n", false, 10, "frame of 11 bytes exceeds limit"},
+      {"2\nabX", false, 64, "missing frame terminator"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_EQ(ReadOne(c.bytes, c.close_after, c.max_bytes, &error),
+              FrameReader::Result::kError)
+        << c.message;
+    EXPECT_EQ(error, c.message);
+  }
+}
+
+TEST(FrameReaderTest, FramesAndCleanEof) {
+  StreamPair pair = MakeStreamPair();
+  // Two frames in one write both arrive, then EOF at a frame boundary.
+  std::string error;
+  ASSERT_TRUE(WriteFrame(pair.writer.get(), "first", &error)) << error;
+  SendRaw(pair.writer, "2\nab\n3\ncde\n");
+  pair.writer.Reset();
+  FrameReader reader(pair.reader.get(), 64);
+  std::string payload;
+  for (const char* want : {"first", "ab", "cde"}) {
+    ASSERT_EQ(reader.Next(&payload, &error), FrameReader::Result::kFrame)
+        << error;
+    EXPECT_EQ(payload, want);
+  }
+  EXPECT_EQ(reader.Next(&payload, &error), FrameReader::Result::kEof);
+  // An empty payload is a frame too.
+  StreamPair empty = MakeStreamPair();
+  SendRaw(empty.writer, "0\n\n");
+  empty.writer.Reset();
+  FrameReader empty_reader(empty.reader.get(), 64);
+  ASSERT_EQ(empty_reader.Next(&payload, &error), FrameReader::Result::kFrame);
+  EXPECT_EQ(payload, "");
+  EXPECT_EQ(empty_reader.Next(&payload, &error), FrameReader::Result::kEof);
 }
 
 // -------------------------------------------------------- AnswerCursor --
@@ -200,6 +310,111 @@ TEST_F(NetTest, ByteIdenticalAnswersAllModes) {
       }
     }
   }
+}
+
+// The rows inside a response frame are the bytes Json::Dump writes for the
+// same rows built as Json::Str names, and every frame re-dumps to itself:
+// names with quotes, backslashes, control bytes and multi-byte UTF-8, an
+// unnamed element (default name "e<i>"), and a Boolean query's one empty
+// row, over raw frames rather than the client's decoded strings.
+TEST_F(NetTest, RawFramesCarryDumpedRows) {
+  db_ = std::make_unique<Database>(Vocabulary::Graph(), 7);
+  const std::vector<std::string> names = {
+      "quo\"te", "back\\slash", "new\nline", "tab\tbed",
+      std::string("ctl\x01") + "x", "caf\xc3\xa9\xe2\x9c\x93\xf0\x9d\x84\x9e"};
+  for (size_t e = 0; e < names.size(); ++e) {
+    db_->SetElementName(static_cast<Element>(e), names[e]);
+  }
+  for (Element e = 0; e < 7; ++e) db_->AddFact(0, {e, (e + 1) % 7});
+  db_->AddFact(0, {6, 6});
+  server_ = std::make_unique<CqaServer>(ServerOptions{});
+  server_->AddDatabase("names", db_.get());
+  std::string error;
+  ASSERT_TRUE(server_->Start(&error)) << error;
+  UniqueFd fd = DialTcp("127.0.0.1", server_->port(), &error);
+  ASSERT_TRUE(fd.valid()) << error;
+  FrameReader reader(fd.get(), size_t{1} << 20);
+  const auto round_trip = [&](const std::string& request) {
+    std::string payload;
+    EXPECT_TRUE(WriteFrame(fd.get(), request, &error)) << error;
+    EXPECT_EQ(reader.Next(&payload, &error), FrameReader::Result::kFrame)
+        << error;
+    std::optional<Json> parsed = Json::Parse(payload);
+    EXPECT_TRUE(parsed.has_value()) << payload;
+    if (parsed.has_value()) EXPECT_EQ(parsed->Dump(), payload);
+    return std::make_pair(payload, parsed.value_or(Json::Object()));
+  };
+  const auto dumped_rows = [&](std::span<const Tuple> rows) {
+    Json out = Json::Array();
+    for (const Tuple& t : rows) {
+      Json row = Json::Array();
+      for (const Element e : t) row.Append(Json::Str(db_->ElementName(e)));
+      out.Append(std::move(row));
+    }
+    return "\"answers\":" + out.Dump() + ",";
+  };
+
+  const QueryService service;
+  const std::string query = "Q(x, y) :- E(x, y)";
+  const CursorResponse ref = QueryService::MakeCursors(
+      service.Evaluate(EvalRequest{*ParseQueryOrDie(query), db_.get(),
+                                   AnswerMode::kExact}),
+      *db_);
+  ASSERT_EQ(ref.answers->size(), 8u);
+  auto [eval, eval_json] = round_trip(
+      R"({"verb":"EVAL","db":"names","query":")" + query +
+      R"(","limit":3})");
+  EXPECT_NE(eval.find(dumped_rows(ref.answers->Page(0, 3))),
+            std::string::npos)
+      << eval;
+  std::string cursor = eval_json.GetString("cursor");
+  for (size_t offset = 3; offset < ref.answers->size(); offset += 3) {
+    ASSERT_FALSE(cursor.empty());
+    auto [fetch, fetch_json] = round_trip(
+        R"({"verb":"FETCH","cursor":")" + cursor + R"(","limit":3})");
+    EXPECT_NE(fetch.find(dumped_rows(ref.answers->Page(offset, 3))),
+              std::string::npos)
+        << fetch;
+    cursor = fetch_json.GetString("cursor");
+  }
+  EXPECT_TRUE(cursor.empty());
+
+  auto [boolean, boolean_json] = round_trip(
+      R"j({"verb":"EVAL","db":"names","query":"Q() :- E(x, y)"})j");
+  EXPECT_NE(boolean.find(R"("answers":[[]],)"), std::string::npos) << boolean;
+  EXPECT_EQ(boolean_json.GetNumber("answer_count"), 1.0);
+}
+
+// A request object is parsed in time linear in its keys, so a client
+// cannot hold a connection thread by sending many of them: an EVAL with
+// 80k extra distinct keys (about 1 MB) is answered well within 2 s.
+TEST_F(NetTest, ManyKeyRequestParsesInLinearTime) {
+  StartServer();
+  std::string request = R"({"verb":"EVAL","db":"demo","query":")" +
+                        std::string(kPathQuery) + "\"";
+  for (int i = 0; i < 80000; ++i) {
+    request += ",\"pad" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  request += "}";
+  std::string error;
+  UniqueFd fd = DialTcp("127.0.0.1", server_->port(), &error);
+  ASSERT_TRUE(fd.valid()) << error;
+  FrameReader reader(fd.get(), size_t{1} << 20);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(WriteFrame(fd.get(), request, &error)) << error;
+  std::string payload;
+  ASSERT_EQ(reader.Next(&payload, &error), FrameReader::Result::kFrame)
+      << error;
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 2.0);
+  const std::optional<Json> reply = Json::Parse(payload);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(reply->GetBool("ok")) << payload;
+  EXPECT_EQ(reply->GetNumber("answer_count"),
+            static_cast<double>(Reference(kPathQuery, AnswerMode::kExact)
+                                    .size()));
 }
 
 TEST_F(NetTest, EmptyAnswerSet) {
