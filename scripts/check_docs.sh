@@ -8,6 +8,12 @@
 #  4. The architecture doc must keep its "Serving API" section (the
 #     QueryService request/response contract) and the README quickstart
 #     must speak the QueryService API, not the deprecated batch names.
+#  5. Every backticked name in README.md and docs/ARCHITECTURE.md that
+#     starts with a capital letter (a type, function or constant, alone or
+#     as `Name::member`, optionally with a trailing "()") must still occur
+#     as a word in the code: each `::` part must appear somewhere under
+#     src/, tests/, bench/, examples/, scripts/ or servebench/. A name the
+#     code has deleted therefore fails the check until the docs drop it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,6 +72,19 @@ if ! grep -q "QueryService" README.md; then
   echo "STALE: README.md quickstart does not use QueryService"
   fail=1
 fi
+
+code_dirs="src tests bench examples scripts servebench"
+for name in $(grep -ohE '`[A-Z][A-Za-z0-9_]*(::[A-Za-z_~][A-Za-z0-9_]*)*(\(\))?`' \
+                README.md docs/ARCHITECTURE.md | tr -d '`' | sed 's/()$//' |
+                sort -u); do
+  for part in ${name//::/ }; do
+    if ! grep -rqw -- "$part" $code_dirs; then
+      echo "STALE: the docs name \`$name\`, but no code under $code_dirs mentions $part"
+      fail=1
+      break
+    fi
+  done
+done
 
 if [ "$fail" -eq 0 ]; then
   echo "docs check OK: README + ARCHITECTURE present, all $(ls -d src/*/ | wc -l) modules mentioned"

@@ -27,10 +27,11 @@ size_t Fingerprint(const PointedDatabase& pdb) {
   // profile is independent of fact enumeration order (isomorphism-invariant).
   std::vector<size_t> profile(db.num_elements(), 0);
   for (RelationId r = 0; r < db.vocab()->num_relations(); ++r) {
-    for (const Tuple& t : db.facts(r)) {
-      for (size_t i = 0; i < t.size(); ++i) {
-        profile[t[i]] += HashCombine(static_cast<size_t>(r) + 1, i + 1);
-      }
+    const ColumnStore& facts = db.facts(r);
+    for (int i = 0; i < facts.width(); ++i) {
+      const size_t weight = HashCombine(static_cast<size_t>(r) + 1,
+                                        static_cast<size_t>(i) + 1);
+      for (const Element e : facts.Column(i)) profile[e] += weight;
     }
   }
   // Distinguished positions fold in their element profile.

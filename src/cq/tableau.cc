@@ -1,5 +1,7 @@
 #include "cq/tableau.h"
 
+#include <utility>
+
 #include "base/check.h"
 
 namespace cqa {
@@ -27,9 +29,7 @@ ConjunctiveQuery FromTableau(const PointedDatabase& tableau) {
     q.SetVariableName(e, db.ElementName(e));
   }
   for (RelationId r = 0; r < db.vocab()->num_relations(); ++r) {
-    for (const Tuple& t : db.facts(r)) {
-      q.AddAtom(r, std::vector<int>(t.begin(), t.end()));
-    }
+    for (Tuple t : db.facts(r)) q.AddAtom(r, std::move(t));
   }
   q.SetFreeVariables(
       std::vector<int>(tableau.distinguished.begin(),

@@ -22,6 +22,17 @@ bool SpansEqual(std::span<const Element> a, std::span<const Element> b) {
 
 }  // namespace
 
+std::vector<Element> ColumnStore::FlatKeys(
+    const std::vector<int>& cols) const {
+  const size_t k = cols.size();
+  std::vector<Element> keys(num_rows_ * k);
+  for (size_t j = 0; j < k; ++j) {
+    const std::vector<Element>& col = cols_[cols[j]];
+    for (size_t r = 0; r < num_rows_; ++r) keys[r * k + j] = col[r];
+  }
+  return keys;
+}
+
 size_t ColumnStore::ApproxBytes() const {
   size_t bytes = kVectorOverhead;
   for (const auto& col : cols_) {
@@ -73,6 +84,23 @@ bool RowSet::Insert(std::span<const Element> row) {
   table_[i] = static_cast<uint32_t>(store_.size()) + 1;
   store_.AppendRow(row);
   return true;
+}
+
+void RowSet::InsertProjected(const ColumnStore& src, size_t from,
+                             const std::vector<int>& out_cols) {
+  CQA_CHECK(static_cast<int>(out_cols.size()) == src.width());
+  std::vector<Element> row(store_.width());
+  for (size_t r = from; r < src.size(); ++r) {
+    std::fill(row.begin(), row.end(), -1);
+    bool ok = true;
+    for (int i = 0; i < src.width() && ok; ++i) {
+      const Element value = src.at(r, i);
+      Element& slot = row[out_cols[i]];
+      ok = slot < 0 || slot == value;
+      slot = value;
+    }
+    if (ok) Insert(row);
+  }
 }
 
 KeyedRowGroups::KeyedRowGroups(std::vector<Element> flat_keys, int key_width,

@@ -1,22 +1,25 @@
-// Columnar tuple storage: the allocation-free backbone of the evaluation
-// hot paths.
+// Columnar tuple storage: the allocation-free backbone of the fact store
+// and of the evaluation hot paths.
 //
-// The seed representation (`Tuple = std::vector<Element>`, one heap block
-// per row) costs an allocation, a pointer chase, and ~24 bytes of vector
-// bookkeeping per tuple. For the inner loops of the engines — index probes,
-// semijoins, bag materialization — those constants dominate once hash
-// indexes have removed the asymptotic scan cost. This header provides the
-// columnar layout that removes them, in the MonetDB/X100 tradition:
+// A `Tuple` (`std::vector<Element>`, one heap block per row) costs an
+// allocation, a pointer chase, and ~24 bytes of vector bookkeeping per
+// tuple. Stored rows never pay that: every relation of a Database, every
+// answer set, index payload and intermediate table lives in the columnar
+// layout below, in the MonetDB/X100 tradition:
 //
 //  - ColumnStore: a fixed-width table stored as one contiguous value slab
 //    per column. Rows are identified by dense ids; appending a row writes
 //    `width` integers into the slabs and allocates nothing per row.
 //    Iterating candidates by row id walks contiguous memory per column
 //    (batch/SIMD-friendly), and a width-0 table still counts its rows, so
-//    the join-forest DP's nullary seed table works unchanged.
+//    nullary relations and the join-forest DP's nullary seed table work
+//    unchanged. Hot loops read `Column`, `at` or `ReadRow` into a reused
+//    buffer; range-for over a ColumnStore yields each row as a fresh
+//    Tuple, for cold loops (printing, conversions, tests).
 //  - RowSet: an incremental deduplicating row builder — an open-addressing
 //    hash table over the rows of an internal ColumnStore. Insert(row) is
-//    the columnar replacement for `unordered_set<Tuple>`-based dedup.
+//    the columnar replacement for `unordered_set<Tuple>`-based dedup, and
+//    one RowSet per relation is a Database's whole fact store.
 //  - KeyedRowGroups: groups the rows of a table by a fixed-width key into
 //    contiguous row-id ranges. Probe(key) is one hash lookup returning a
 //    span — no per-key heap nodes, no materialized key tuples. This is the
@@ -24,7 +27,9 @@
 //    join/semijoin key table.
 //
 // All three are value types with no synchronization: build single-threaded,
-// then share freely for concurrent reads (probing mutates nothing).
+// then share freely for concurrent reads (probing mutates nothing). Slabs
+// are std::vectors, so an append may move them: a span from `Column` is
+// valid only until the next append to its table.
 
 #ifndef CQA_DATA_COLUMN_STORE_H_
 #define CQA_DATA_COLUMN_STORE_H_
@@ -32,12 +37,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "base/check.h"
-#include "data/database.h"
 
 namespace cqa {
+
+/// An element of a database universe (dense, non-negative).
+using Element = int;
+
+/// A row as a standalone value: one heap vector of elements (length = the
+/// arity of the relation or answer set it came from).
+using Tuple = std::vector<Element>;
 
 /// A fixed-width table of Element values stored column-major: column j of
 /// row r is `Column(j)[r]`. Append-only; no per-row allocation.
@@ -92,6 +104,10 @@ class ColumnStore {
     return out;
   }
 
+  /// Every row's values at columns `cols`, row-major and concatenated: the
+  /// flat-key input of a KeyedRowGroups keyed by those columns.
+  std::vector<Element> FlatKeys(const std::vector<int>& cols) const;
+
   /// The sub-table holding exactly `row_ids`, in order. Column-major copy.
   ColumnStore Gather(const std::vector<uint32_t>& row_ids) const {
     ColumnStore out(width_);
@@ -106,11 +122,42 @@ class ColumnStore {
 
   /// Row-major copy (tests, conversions; not a hot path).
   std::vector<Tuple> ToRows() const {
-    std::vector<Tuple> rows;
-    rows.reserve(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) rows.push_back(RowTuple(r));
-    return rows;
+    return std::vector<Tuple>(begin(), end());
   }
+
+  /// Walks the rows in id order, building each as a Tuple (one heap vector
+  /// per step).
+  class RowIterator {
+   public:
+    using value_type = Tuple;
+    using difference_type = std::ptrdiff_t;
+
+    RowIterator() = default;
+    Tuple operator*() const { return store_->RowTuple(row_); }
+    RowIterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    RowIterator operator++(int) {
+      RowIterator old = *this;
+      ++row_;
+      return old;
+    }
+    bool operator==(const RowIterator& other) const {
+      return row_ == other.row_;
+    }
+
+   private:
+    friend class ColumnStore;
+    RowIterator(const ColumnStore* store, size_t row)
+        : store_(store), row_(row) {}
+
+    const ColumnStore* store_ = nullptr;
+    size_t row_ = 0;
+  };
+
+  RowIterator begin() const { return RowIterator(this, 0); }
+  RowIterator end() const { return RowIterator(this, num_rows_); }
 
   /// Rough heap footprint, for cache budgeting.
   size_t ApproxBytes() const;
@@ -132,6 +179,14 @@ class RowSet {
 
   /// True iff the row was new (and is now stored).
   bool Insert(std::span<const Element> row);
+
+  /// Inserts rows [from, src.size()) of `src` projected through `out_cols`
+  /// (src column i feeds column out_cols[i] of this set), skipping rows
+  /// that give one column two different values: the match table of an atom
+  /// whose i-th argument is the variable of rank out_cols[i], so E(x, x)
+  /// keeps loops only. Every column of this set must be fed by some i.
+  void InsertProjected(const ColumnStore& src, size_t from,
+                       const std::vector<int>& out_cols);
 
   /// True iff the row was inserted before.
   bool Contains(std::span<const Element> row) const {
@@ -191,11 +246,6 @@ class KeyedRowGroups {
 
   std::span<const int> GroupRows(size_t g) const {
     return std::span<const int>(row_ids_.data() + offsets_[g], counts_[g]);
-  }
-
-  /// The flat key of group `g`.
-  std::span<const Element> GroupKey(size_t g) const {
-    return KeyOfRow(reps_[g]);
   }
 
   size_t ApproxBytes() const;

@@ -14,7 +14,10 @@ Database::Database(VocabularyPtr vocab, int num_elements)
     : vocab_(std::move(vocab)), num_elements_(num_elements) {
   CQA_CHECK(vocab_ != nullptr);
   CQA_CHECK(num_elements >= 0);
-  facts_.resize(vocab_->num_relations());
+  relations_.reserve(vocab_->num_relations());
+  for (RelationId r = 0; r < vocab_->num_relations(); ++r) {
+    relations_.emplace_back(vocab_->arity(r));
+  }
 }
 
 uint64_t Database::Id::Next() {
@@ -32,35 +35,43 @@ Element Database::AddElements(int k) {
   return first;
 }
 
-bool Database::AddFact(RelationId rel, Tuple tuple) {
+bool Database::AddFact(RelationId rel, std::span<const Element> tuple) {
   CQA_CHECK(rel >= 0 && rel < vocab_->num_relations());
   CQA_CHECK(static_cast<int>(tuple.size()) == vocab_->arity(rel));
   for (const Element e : tuple) CQA_CHECK(e >= 0 && e < num_elements_);
-  FactKey key{rel, tuple};
-  if (!fact_set_.insert(key).second) return false;
-  facts_[rel].push_back(std::move(tuple));
+  if (!relations_[rel].Insert(tuple)) return false;
   ++version_;
   return true;
 }
 
-bool Database::HasFact(RelationId rel, const Tuple& tuple) const {
-  return fact_set_.count(FactKey{rel, tuple}) > 0;
+bool Database::HasFact(RelationId rel, std::span<const Element> tuple) const {
+  return rel >= 0 && rel < vocab_->num_relations() &&
+         static_cast<int>(tuple.size()) == vocab_->arity(rel) &&
+         relations_[rel].Contains(tuple);
 }
 
-const std::vector<Tuple>& Database::facts(RelationId rel) const {
+const ColumnStore& Database::facts(RelationId rel) const {
   CQA_CHECK(rel >= 0 && rel < vocab_->num_relations());
-  return facts_[rel];
+  return relations_[rel].rows();
 }
 
 long long Database::NumFacts() const {
-  return static_cast<long long>(fact_set_.size());
+  long long total = 0;
+  for (const RowSet& rel : relations_) {
+    total += static_cast<long long>(rel.size());
+  }
+  return total;
 }
 
 bool Database::IsContainedIn(const Database& other) const {
   CQA_CHECK(*vocab_ == *other.vocab_);
+  std::vector<Element> row;
   for (RelationId r = 0; r < vocab_->num_relations(); ++r) {
-    for (const Tuple& t : facts_[r]) {
-      if (!other.HasFact(r, t)) return false;
+    const ColumnStore& rows = facts(r);
+    row.resize(rows.width());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows.ReadRow(i, row);
+      if (!other.relations_[r].Contains(row)) return false;
     }
   }
   return true;
@@ -73,9 +84,9 @@ bool Database::SameFactsAs(const Database& other) const {
 
 std::vector<bool> Database::ActiveDomain() const {
   std::vector<bool> active(num_elements_, false);
-  for (const auto& rel_facts : facts_) {
-    for (const Tuple& t : rel_facts) {
-      for (const Element e : t) active[e] = true;
+  for (const RowSet& rel : relations_) {
+    for (int j = 0; j < rel.rows().width(); ++j) {
+      for (const Element e : rel.rows().Column(j)) active[e] = true;
     }
   }
   return active;
@@ -85,14 +96,16 @@ Database Database::MapThrough(const std::vector<Element>& image_of,
                               int new_size) const {
   CQA_CHECK(static_cast<int>(image_of.size()) == num_elements_);
   Database out(vocab_, new_size);
+  std::vector<Element> mapped;
   for (RelationId r = 0; r < vocab_->num_relations(); ++r) {
-    for (const Tuple& t : facts_[r]) {
-      Tuple mapped(t.size());
-      for (size_t i = 0; i < t.size(); ++i) {
-        CQA_CHECK(image_of[t[i]] >= 0 && image_of[t[i]] < new_size);
-        mapped[i] = image_of[t[i]];
+    const ColumnStore& rows = facts(r);
+    mapped.resize(rows.width());
+    if (!rows.empty()) out.relations_[r].Reserve(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (int j = 0; j < rows.width(); ++j) {
+        mapped[j] = image_of[rows.at(i, j)];
       }
-      out.AddFact(r, std::move(mapped));
+      out.AddFact(r, mapped);
     }
   }
   return out;
@@ -107,18 +120,17 @@ Database Database::InducedSubstructure(const std::vector<bool>& keep,
     if (keep[e]) map[e] = next++;
   }
   Database out(vocab_, next);
+  std::vector<Element> mapped;
   for (RelationId r = 0; r < vocab_->num_relations(); ++r) {
-    for (const Tuple& t : facts_[r]) {
+    const ColumnStore& rows = facts(r);
+    mapped.resize(rows.width());
+    for (size_t i = 0; i < rows.size(); ++i) {
       bool ok = true;
-      Tuple mapped(t.size());
-      for (size_t i = 0; i < t.size(); ++i) {
-        if (map[t[i]] < 0) {
-          ok = false;
-          break;
-        }
-        mapped[i] = map[t[i]];
+      for (int j = 0; j < rows.width() && ok; ++j) {
+        mapped[j] = map[rows.at(i, j)];
+        ok = mapped[j] >= 0;
       }
-      if (ok) out.AddFact(r, std::move(mapped));
+      if (ok) out.AddFact(r, mapped);
     }
   }
   for (Element e = 0; e < num_elements_; ++e) {
@@ -140,11 +152,15 @@ int Database::AbsorbDisjoint(const Database& other) {
   CQA_CHECK(*vocab_ == *other.vocab_);
   const int shift = num_elements_;
   AddElements(other.num_elements_);
+  std::vector<Element> shifted;
   for (RelationId r = 0; r < vocab_->num_relations(); ++r) {
-    for (const Tuple& t : other.facts(r)) {
-      Tuple shifted(t.size());
-      for (size_t i = 0; i < t.size(); ++i) shifted[i] = t[i] + shift;
-      AddFact(r, std::move(shifted));
+    const ColumnStore& rows = other.facts(r);
+    shifted.resize(rows.width());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (int j = 0; j < rows.width(); ++j) {
+        shifted[j] = rows.at(i, j) + shift;
+      }
+      AddFact(r, shifted);
     }
   }
   for (Element e = 0; e < other.num_elements_; ++e) {

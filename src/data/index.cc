@@ -11,19 +11,6 @@ namespace {
 // Vector-header bookkeeping estimate for the budget accounting.
 constexpr size_t kVectorOverhead = 24;
 
-// Row-major flat keys of every fact of `rel` at `positions` — the build
-// input of the index's KeyedRowGroups.
-std::vector<Element> FlatKeysOfFacts(const Database& db, RelationId rel,
-                                     const std::vector<int>& positions) {
-  const std::vector<Tuple>& facts = db.facts(rel);
-  std::vector<Element> keys;
-  keys.reserve(facts.size() * positions.size());
-  for (const Tuple& fact : facts) {
-    for (const int p : positions) keys.push_back(fact[p]);
-  }
-  return keys;
-}
-
 }  // namespace
 
 BoundMask MaskOfPositions(const std::vector<int>& positions) {
@@ -50,7 +37,7 @@ RelationIndex::RelationIndex(const Database& db, RelationId rel,
     : rel_(rel),
       mask_(mask),
       positions_(PositionsOfMask(mask, db.vocab()->arity(rel))),
-      groups_(FlatKeysOfFacts(db, rel, positions_),
+      groups_(db.facts(rel).FlatKeys(positions_),
               static_cast<int>(positions_.size()), db.facts(rel).size()) {}
 
 size_t RelationIndex::ApproxBytes() const {
@@ -59,13 +46,14 @@ size_t RelationIndex::ApproxBytes() const {
 }
 
 size_t RelationIndex::Append(const Database& db) {
-  const std::vector<Tuple>& facts = db.facts(rel_);
+  const ColumnStore& facts = db.facts(rel_);
   const size_t from = groups_.num_rows();
   CQA_CHECK(from <= facts.size());
   std::vector<Element> key(positions_.size());
   for (size_t id = from; id < facts.size(); ++id) {
-    const Tuple& fact = facts[id];
-    for (size_t j = 0; j < positions_.size(); ++j) key[j] = fact[positions_[j]];
+    for (size_t j = 0; j < positions_.size(); ++j) {
+      key[j] = facts.at(id, positions_[j]);
+    }
     groups_.AppendRow(key, static_cast<int>(id));
   }
   return facts.size() - from;
@@ -89,8 +77,7 @@ class CachedStructure {
 namespace {
 
 // The table key's first field: which kind of structure sits under the key.
-enum StructureKind : int { kIndexKind, kProjectionKind, kFactColumnsKind,
-                           kColumnValuesKind };
+enum StructureKind : int { kIndexKind, kProjectionKind, kColumnValuesKind };
 
 struct IndexStructure final : CachedStructure {
   IndexStructure(const Database& db, RelationId rel, BoundMask mask)
@@ -111,22 +98,8 @@ struct ProjectionStructure final : CachedStructure {
     Append(db);
   }
   size_t Append(const Database& db) override {
-    const std::vector<Tuple>& facts = db.facts(rel);
-    std::vector<Element> row(set.rows().width());
-    for (size_t id = facts_seen; id < facts.size(); ++id) {
-      const Tuple& fact = facts[id];
-      std::fill(row.begin(), row.end(), -1);
-      bool ok = true;
-      for (size_t i = 0; i < fact.size(); ++i) {
-        const int col = out_cols[i];
-        if (row[col] >= 0 && row[col] != fact[i]) {
-          ok = false;
-          break;
-        }
-        row[col] = fact[i];
-      }
-      if (ok) set.Insert(row);
-    }
+    const ColumnStore& facts = db.facts(rel);
+    set.InsertProjected(facts, facts_seen, out_cols);
     const size_t appended = facts.size() - facts_seen;
     facts_seen = facts.size();
     return appended;
@@ -136,23 +109,6 @@ struct ProjectionStructure final : CachedStructure {
   std::vector<int> out_cols;
   RowSet set;
   size_t facts_seen = 0;
-};
-
-struct FactColumnsStructure final : CachedStructure {
-  FactColumnsStructure(const Database& db, RelationId rel)
-      : rel(rel), cols(db.vocab()->arity(rel)) {
-    cols.Reserve(db.facts(rel).size());
-    Append(db);
-  }
-  size_t Append(const Database& db) override {
-    const std::vector<Tuple>& facts = db.facts(rel);
-    const size_t from = cols.size();
-    for (size_t id = from; id < facts.size(); ++id) cols.AppendRow(facts[id]);
-    return facts.size() - from;
-  }
-  size_t ApproxBytes() const override { return cols.ApproxBytes(); }
-  RelationId rel;
-  ColumnStore cols;
 };
 
 struct ColumnValuesStructure final : CachedStructure {
@@ -165,16 +121,16 @@ struct ColumnValuesStructure final : CachedStructure {
   // the delta introduces no new values (pure binary searches); sorts only
   // when it must.
   size_t Append(const Database& db) override {
-    const std::vector<Tuple>& facts = db.facts(rel);
+    const std::span<const Element> column = db.facts(rel).Column(pos);
     std::vector<Element> fresh;
-    for (size_t id = facts_seen; id < facts.size(); ++id) {
-      const Element v = facts[id][pos];
+    for (size_t id = facts_seen; id < column.size(); ++id) {
+      const Element v = column[id];
       if (!std::binary_search(values.begin(), values.end(), v)) {
         fresh.push_back(v);
       }
     }
-    const size_t appended = facts.size() - facts_seen;
-    facts_seen = facts.size();
+    const size_t appended = column.size() - facts_seen;
+    facts_seen = column.size();
     if (fresh.empty()) return appended;
     values.insert(values.end(), fresh.begin(), fresh.end());
     std::sort(values.begin(), values.end());
@@ -276,19 +232,6 @@ const ColumnStore* IndexedDatabase::ProjectedRows(
       },
       built);
   return s == nullptr ? nullptr : &s->set.rows();
-}
-
-const ColumnStore* IndexedDatabase::FactColumns(RelationId rel,
-                                                bool* built) const {
-  CQA_CHECK(rel >= 0 && rel < db_->vocab()->num_relations());
-  // Every value of every fact, one column per position.
-  const size_t values =
-      db_->facts(rel).size() * static_cast<size_t>(db_->vocab()->arity(rel));
-  const FactColumnsStructure* s = GetOrBuild<FactColumnsStructure>(
-      {kFactColumnsKind, rel}, kVectorOverhead + values * sizeof(Element),
-      [&] { return std::make_unique<FactColumnsStructure>(*db_, rel); },
-      built);
-  return s == nullptr ? nullptr : &s->cols;
 }
 
 const std::vector<Element>* IndexedDatabase::ColumnValues(RelationId rel,

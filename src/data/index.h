@@ -26,16 +26,16 @@
 // and yields a single group holding every fact.
 //
 // IndexedDatabase keeps every cached structure in one table, keyed by its
-// kind, relation and shape. Besides relation indexes there are three
-// cheaper kinds the evaluators share:
+// kind, relation and shape. Besides relation indexes there are two cheaper
+// kinds the evaluators share:
 //  - ProjectedRows: the deduplicated projection of a relation onto "output
 //    columns" with a repeated-column equality filter — exactly the match
 //    table of an atom (e.g. E(x, x) keeps loops only), stored columnar and
 //    reusable across every query in a batch mentioning the same atom shape.
-//  - FactColumns: the facts of a relation transposed into a ColumnStore, so
-//    candidate iteration in the probe core walks contiguous columns.
 //  - ColumnValues: the sorted distinct values occurring at one argument
 //    position, the building block of per-variable candidate sets.
+// The facts themselves need no cached copy: a Database stores each
+// relation column-major already, and candidate loops read db.facts(rel).
 // Each kind supplies only its build and its append; the lookup, the budget,
 // the race between concurrent builders and CatchUp are shared.
 //
@@ -49,17 +49,18 @@
 // -------------------------------------
 //  - An IndexedDatabase *borrows* its Database: the Database must outlive
 //    every use of the view, and must not gain facts/elements while the view
-//    is in use (structures hold fact ids into db.facts(rel)). Destroying
-//    the view never touches the Database. Mutation between uses is handled
+//    is in use (structures hold fact ids into db.facts(rel), and searches
+//    read its columns, which an append may move). Destroying the view
+//    never touches the Database. Mutation between uses is handled
 //    one layer up: eval/cache.h keys views by Database::id() and, when the
 //    same Database gained facts since the view last served it, calls
 //    CatchUp() to append the delta into every cached structure (~O(delta))
 //    instead of rebuilding the view from scratch.
 //  - The view owns every structure it builds and never frees one while it
-//    is alive: pointers returned by Index/ProjectedRows/FactColumns/
-//    ColumnValues stay valid for the lifetime of the view (which is why
-//    EvalCache hands views out as shared_ptr — eviction cannot tear
-//    structures out from under an in-flight evaluation).
+//    is alive: pointers returned by Index/ProjectedRows/ColumnValues stay
+//    valid for the lifetime of the view (which is why EvalCache hands views
+//    out as shared_ptr — eviction cannot tear structures out from under an
+//    in-flight evaluation).
 //  - Any number of threads may share one view. Each structure is built
 //    exactly once under the view's internal lock (concurrent first uses may
 //    race to build a duplicate; the loser's copy is discarded) and is
@@ -188,10 +189,6 @@ class IndexedDatabase {
   const ColumnStore* ProjectedRows(RelationId rel,
                                    const std::vector<int>& out_cols,
                                    int num_out, bool* built = nullptr) const;
-
-  /// The facts of `rel` transposed into a ColumnStore (same row ids as
-  /// db.facts(rel)), so candidate loops iterate contiguous columns.
-  const ColumnStore* FactColumns(RelationId rel, bool* built = nullptr) const;
 
   /// Sorted distinct values at argument position `pos` of `rel`.
   const std::vector<Element>* ColumnValues(RelationId rel, int pos,

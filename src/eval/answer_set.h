@@ -6,8 +6,8 @@
 // ids, so an answer costs its `arity` integers and a few table bytes (21 B
 // for a binary row in eval_test's BytesPerBinaryRow, where a hash set of
 // heap Tuples costs about 94 B) and inserting one allocates nothing.
-// Engines append row spans; Tuple-taking calls and tuples() remain for
-// callers that want heap tuples.
+// Engines append row spans; Tuple-taking calls remain, and range-for over
+// tuples() yields each row as a Tuple, as over a Database's facts(rel).
 //
 // AnswerCursor is the streaming reading of an AnswerSet: an immutable,
 // deterministically ordered snapshot that hands out `limit`-sized pages by
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <ranges>
 #include <span>
 #include <vector>
 
@@ -80,12 +79,9 @@ class AnswerSet {
   /// The rows, column-major, in insertion order.
   const ColumnStore& rows() const { return rows_.rows(); }
 
-  /// The rows as heap Tuples, in insertion order; each step builds one.
-  auto tuples() const {
-    return std::views::iota(size_t{0}, size()) |
-           std::views::transform(
-               [this](size_t r) { return rows_.rows().RowTuple(r); });
-  }
+  /// The same rows, for range-for loops that want each one as a Tuple
+  /// (ColumnStore's row iteration builds one per step).
+  const ColumnStore& tuples() const { return rows(); }
 
   /// Heap bytes held (row slabs plus the hash table), by capacity.
   size_t ApproxBytes() const { return rows_.ApproxBytes(); }

@@ -18,9 +18,6 @@
 
 namespace cqa {
 
-/// Backwards-compatible name for the naive evaluator's counters.
-using NaiveStats = EvalStats;
-
 /// Computes Q(D) by backtracking over atoms (connected order, scan-based
 /// matching). Exact but exponential in |Q|. A non-null `ctx` is polled at
 /// every search node; on interruption the answers found so far are returned

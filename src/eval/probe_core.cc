@@ -38,7 +38,7 @@ ProbeBacktracker::ProbeBacktracker(std::vector<ProbeAtom> atoms,
                                    const Database& db,
                                    const IndexedDatabase* idb,
                                    EvalStats* stats, const EvalContext* ctx)
-    : db_(&db), idb_(idb), stats_(stats), ctx_(ctx) {
+    : idb_(idb), stats_(stats), ctx_(ctx) {
   CQA_CHECK(static_cast<int>(bound_at_entry.size()) == num_slots);
   std::vector<bool> bound = bound_at_entry;
   steps_.reserve(atoms.size());
@@ -47,7 +47,10 @@ ProbeBacktracker::ProbeBacktracker(std::vector<ProbeAtom> atoms,
     Step s;
     s.rel = atom.rel;
     s.slots = std::move(atom.slots);
-    s.facts = &db_->facts(s.rel);
+    const ColumnStore& facts = db.facts(s.rel);
+    CQA_CHECK(static_cast<int>(s.slots.size()) == facts.width());
+    s.num_facts = facts.size();
+    for (int p = 0; p < facts.width(); ++p) s.cols.push_back(facts.Column(p));
     // The (relation, bound-set) pair of every depth is fixed by the trial
     // order; only the mask is computed here — the index itself is fetched
     // lazily when the search first reaches the depth.
@@ -75,17 +78,6 @@ void ProbeBacktracker::FetchIndex(Step* s) {
   bool built = false;
   s->index = idb_->Index(s->rel, s->mask, &built);
   if (stats_ != nullptr && built) ++stats_->index_builds;
-}
-
-void ProbeBacktracker::FetchColumns(Step* s) {
-  s->cols_fetched = true;
-  if (idb_ == nullptr) return;  // scan path: keep row-major facts
-  const ColumnStore* cols = idb_->FactColumns(s->rel);
-  if (cols == nullptr) return;  // over budget: keep row-major facts
-  s->cols.reserve(s->slots.size());
-  for (size_t p = 0; p < s->slots.size(); ++p) {
-    s->cols.push_back(cols->Column(static_cast<int>(p)));
-  }
 }
 
 const RelationIndex* ProbeBacktracker::EnsureIndex(size_t depth) {
@@ -120,7 +112,6 @@ bool ProbeBacktracker::SearchDepth(size_t depth, std::vector<Element>& a,
   if (depth == steps_.size()) return !leaf(a);
   Step& s = steps_[depth];
   if (!s.index_fetched) FetchIndex(&s);
-  if (!s.cols_fetched) FetchColumns(&s);
 
   // Candidate facts: a bucket probe when an index covers this depth's bound
   // positions, the full fact list otherwise.
@@ -138,37 +129,22 @@ bool ProbeBacktracker::SearchDepth(size_t depth, std::vector<Element>& a,
 
   const size_t arity = s.slots.size();
   const size_t num_candidates =
-      s.index != nullptr ? ids.size() : s.facts->size();
+      s.index != nullptr ? ids.size() : s.num_facts;
   const size_t undo_mark = undo_.size();
   for (size_t c = 0; c < num_candidates; ++c) {
     const size_t id =
         s.index != nullptr ? static_cast<size_t>(ids[c]) : c;
     // Unify the atom with this fact, recording bindings on the undo stack.
     bool ok = true;
-    if (!s.cols.empty()) {
-      for (size_t p = 0; p < arity; ++p) {
-        const Element value = s.cols[p][id];
-        const int slot = s.slots[p];
-        if (a[slot] < 0) {
-          a[slot] = value;
-          undo_.push_back(slot);
-        } else if (a[slot] != value) {
-          ok = false;
-          break;
-        }
-      }
-    } else {
-      const Tuple& fact = (*s.facts)[id];
-      for (size_t p = 0; p < arity; ++p) {
-        const Element value = fact[p];
-        const int slot = s.slots[p];
-        if (a[slot] < 0) {
-          a[slot] = value;
-          undo_.push_back(slot);
-        } else if (a[slot] != value) {
-          ok = false;
-          break;
-        }
+    for (size_t p = 0; p < arity; ++p) {
+      const Element value = s.cols[p][id];
+      const int slot = s.slots[p];
+      if (a[slot] < 0) {
+        a[slot] = value;
+        undo_.push_back(slot);
+      } else if (a[slot] != value) {
+        ok = false;
+        break;
       }
     }
     bool keep_going = true;

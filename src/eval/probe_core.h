@@ -8,9 +8,9 @@
 // (ProbeAtom::slots maps each argument position of an atom to a slot of the
 // caller's assignment vector), computes each depth's bound mask and key
 // layout once, probes RelationIndex with a reusable flat key buffer (no
-// per-probe allocation), iterates candidate facts over the contiguous
-// columns of IndexedDatabase::FactColumns when available, and undoes
-// bindings through one reusable undo stack (no per-candidate vector).
+// per-probe allocation), unifies candidate facts against the relation's
+// own columns (db.facts(rel), column-major), and undoes bindings through
+// one reusable undo stack (no per-candidate vector).
 //
 // Semantics contract (preserved exactly from the engines it replaced):
 //  - `stats->nodes` is incremented once per search node, including leaves,
@@ -25,8 +25,10 @@
 //    pay for builds).
 //  - A depth only gets a mask/index when an IndexedDatabase is present, the
 //    atom's arity is at most kMaxIndexableArity, and some position is bound
-//    at entry; otherwise the depth scans facts(rel) — exactly the old
-//    fallback ladder.
+//    at entry; otherwise, or when the view's budget declines the index (a
+//    view with max_bytes = 0 declines all), the depth scans every fact of
+//    its relation. Both read the same columns through one unify loop, so
+//    only the candidate ids differ.
 
 #ifndef CQA_EVAL_PROBE_CORE_H_
 #define CQA_EVAL_PROBE_CORE_H_
@@ -76,7 +78,9 @@ class ProbeBacktracker {
   /// `bound_at_entry[s]` declares slot s pre-bound (the caller will pass
   /// assignments with those slots set); it fixes each depth's bound mask.
   /// `idb`, `stats`, and `ctx` may be null (scan-only / uncounted /
-  /// uninterruptible, respectively).
+  /// uninterruptible, respectively). Each depth keeps spans of
+  /// `db.facts(rel)`'s columns as they stand now: `db` is borrowed under
+  /// the same rule as a view's database (data/index.h).
   ProbeBacktracker(std::vector<ProbeAtom> atoms, int num_slots,
                    const std::vector<bool>& bound_at_entry, const Database& db,
                    const IndexedDatabase* idb, EvalStats* stats,
@@ -104,21 +108,18 @@ class ProbeBacktracker {
     BoundMask mask = 0;             // positions bound at entry (0 = scan)
     std::vector<int> key_slots;     // slots feeding the probe key, in
                                     // ascending position order
-    const std::vector<Tuple>* facts = nullptr;  // row-major fallback
-    std::vector<std::span<const Element>> cols;  // columnar facts, per
-                                                 // position (empty = rows)
+    std::vector<std::span<const Element>> cols;  // db.facts(rel), one
+                                                 // column per position
+    size_t num_facts = 0;           // rows of db.facts(rel) (nullary too)
     const RelationIndex* index = nullptr;
     bool index_fetched = false;
-    bool cols_fetched = false;
   };
 
   void FetchIndex(Step* s);
-  void FetchColumns(Step* s);
   // False = stop the entire search.
   bool SearchDepth(size_t depth, std::vector<Element>& a, const LeafFn& leaf);
 
   std::vector<Step> steps_;
-  const Database* db_;
   const IndexedDatabase* idb_;
   EvalStats* stats_;
   const EvalContext* ctx_;

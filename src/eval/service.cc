@@ -479,7 +479,7 @@ Subscription::~Subscription() = default;
 
 SubscriptionDelta Subscription::Poll() {
   // The write lock first — Publish calls on this database block for the
-  // whole tick, so the fact vectors are stable while the tick reads them —
+  // whole tick, so the relations are stable while the tick reads them —
   // then the subscription's own state lock. Same order in caught_up();
   // the cache and view locks nest strictly inside: no cycles.
   std::lock_guard<std::mutex> write_lock(*write_mu_);
@@ -496,15 +496,6 @@ SubscriptionDelta Subscription::Poll() {
   const std::shared_ptr<const IndexedDatabase> view =
       cache_->AcquireIndexed(db);
 
-  const int num_relations = db.vocab()->num_relations();
-  std::vector<DeltaFact> delta;
-  for (RelationId r = 0; r < num_relations; ++r) {
-    const std::vector<Tuple>& facts = db.facts(r);
-    for (size_t id = consumed_[r]; id < facts.size(); ++id) {
-      delta.push_back(DeltaFact{r, facts[id]});
-    }
-  }
-
   // Per-tick interruption token (deadline armed now, covering this tick
   // only); an interrupted tick commits a prefix and the rest stays pending.
   std::optional<EvalContext> ectx;
@@ -516,24 +507,20 @@ SubscriptionDelta Subscription::Poll() {
     // First tick, or an earlier baseline was interrupted: run it again and
     // report what it adds to the answers reported so far.
     out.reinitialized = true;
-    if (RunBaseline(*view, ctx, &out)) out.facts_applied = delta.size();
+    if (RunBaseline(*view, ctx, &out)) {
+      // A complete baseline covers every fact: nothing stays pending.
+      for (RelationId r = 0; r < db.vocab()->num_relations(); ++r) {
+        out.facts_applied += db.facts(r).size() - consumed_[r];
+        consumed_[r] = db.facts(r).size();
+      }
+    }
   } else {
-    out.facts_applied = ApplyDelta(delta, *view, ctx, &out);
+    out.facts_applied = ApplyDelta(*view, ctx, &out);
   }
   // Exact plans: the sandwich collapses, possible() is certain().
   if (!plan_.approximate) out.new_possible = out.new_answers;
   out.eval.delta_facts += static_cast<long long>(out.facts_applied);
   out.status = ctx != nullptr ? ctx->status() : ResponseStatus::kOk;
-
-  // Advance the per-relation cursors over the committed prefix, in the same
-  // relation-major order the delta was collected.
-  size_t applied = out.facts_applied;
-  for (RelationId r = 0; r < num_relations && applied > 0; ++r) {
-    const size_t pending = db.facts(r).size() - consumed_[r];
-    const size_t take = std::min(applied, pending);
-    consumed_[r] += take;
-    applied -= take;
-  }
   out.caught_up = CaughtUpLocked();
   return out;
 }
@@ -562,8 +549,7 @@ bool Subscription::RunBaseline(const IndexedDatabase& idb,
   return true;
 }
 
-size_t Subscription::ApplyDelta(const std::vector<DeltaFact>& delta,
-                                const IndexedDatabase& idb,
+size_t Subscription::ApplyDelta(const IndexedDatabase& idb,
                                 const EvalContext* ctx,
                                 SubscriptionDelta* out) {
   // An exact plan is the one-rewrite case: its certain side is the query.
@@ -580,47 +566,56 @@ size_t Subscription::ApplyDelta(const std::vector<DeltaFact>& delta,
   for (const ApproxSubPlan& sub : plan_.over) {
     overs.emplace_back(sub.query, idb, &out->eval, ctx);
   }
+  // Pending facts are read from the columns into one reused DeltaFact, in
+  // relation-major order; consumed_ advances past each committed fact.
+  const Database& db = idb.db();
   size_t applied = 0;
-  for (const DeltaFact& fact : delta) {
-    // Per-fact temporaries: nothing is committed unless the fact processes
-    // completely, so an interruption never leaves the under union or an
-    // over part half-updated (an under-complete over part would make the
-    // intersection drop possible answers).
-    AnswerSet under_fresh(certain_.arity());
-    bool complete = true;
-    for (DeltaEvaluator& evaluator : unders) {
-      if (!evaluator.ApplyFact(fact, certain_, &under_fresh)) {
-        complete = false;
-        break;
-      }
-    }
-    std::vector<AnswerSet> over_fresh;
-    over_fresh.reserve(overs.size());
-    for (size_t j = 0; complete && j < overs.size(); ++j) {
-      over_fresh.emplace_back(possible_.arity());
-      if (!overs[j].ApplyFact(fact, over_parts_[j], &over_fresh[j])) {
-        complete = false;
-      }
-    }
-    if (!complete) break;
-    certain_.InsertAll(under_fresh);
-    out->new_answers.InsertAll(under_fresh);
-    for (size_t j = 0; j < over_fresh.size(); ++j) {
-      over_parts_[j].InsertAll(over_fresh[j]);
-    }
-    // A tuple newly enters the intersection only if some part just gained
-    // it, so the fresh sets are a complete candidate list.
-    for (const AnswerSet& fresh : over_fresh) {
-      fresh.ForEachRow([&](std::span<const Element> row) {
-        if (possible_.Contains(row)) return;
-        for (const AnswerSet& part : over_parts_) {
-          if (!part.Contains(row)) return;
+  DeltaFact fact;
+  for (RelationId r = 0; r < db.vocab()->num_relations(); ++r) {
+    const ColumnStore& facts = db.facts(r);
+    fact.rel = r;
+    fact.tuple.resize(facts.width());
+    for (; consumed_[r] < facts.size(); ++consumed_[r], ++applied) {
+      facts.ReadRow(consumed_[r], fact.tuple);
+      // Per-fact temporaries: nothing is committed unless the fact processes
+      // completely, so an interruption never leaves the under union or an
+      // over part half-updated (an under-complete over part would make the
+      // intersection drop possible answers).
+      AnswerSet under_fresh(certain_.arity());
+      bool complete = true;
+      for (DeltaEvaluator& evaluator : unders) {
+        if (!evaluator.ApplyFact(fact, certain_, &under_fresh)) {
+          complete = false;
+          break;
         }
-        possible_.Insert(row);
-        out->new_possible.Insert(row);
-      });
+      }
+      std::vector<AnswerSet> over_fresh;
+      over_fresh.reserve(overs.size());
+      for (size_t j = 0; complete && j < overs.size(); ++j) {
+        over_fresh.emplace_back(possible_.arity());
+        if (!overs[j].ApplyFact(fact, over_parts_[j], &over_fresh[j])) {
+          complete = false;
+        }
+      }
+      if (!complete) return applied;
+      certain_.InsertAll(under_fresh);
+      out->new_answers.InsertAll(under_fresh);
+      for (size_t j = 0; j < over_fresh.size(); ++j) {
+        over_parts_[j].InsertAll(over_fresh[j]);
+      }
+      // A tuple newly enters the intersection only if some part just gained
+      // it, so the fresh sets are a complete candidate list.
+      for (const AnswerSet& fresh : over_fresh) {
+        fresh.ForEachRow([&](std::span<const Element> row) {
+          if (possible_.Contains(row)) return;
+          for (const AnswerSet& part : over_parts_) {
+            if (!part.Contains(row)) return;
+          }
+          possible_.Insert(row);
+          out->new_possible.Insert(row);
+        });
+      }
     }
-    ++applied;
   }
   return applied;
 }
@@ -650,8 +645,8 @@ bool Subscription::over_valid() const {
 }
 
 bool Subscription::caught_up() const {
-  // Write lock too: the fact-vector sizes are read here, and a concurrent
-  // Publish writes them.
+  // Write lock too: the relation sizes are read here, and a concurrent
+  // Publish grows them.
   std::lock_guard<std::mutex> write_lock(*write_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   return CaughtUpLocked();

@@ -337,11 +337,12 @@ class Subscription {
                std::shared_ptr<std::mutex> write_mu);
 
   // Tick steps; the caller holds the write lock and mu_. RunBaseline
-  // returns false when interrupted, ApplyDelta the committed prefix length.
+  // returns false when interrupted. ApplyDelta reads the pending facts
+  // from the database's columns, relation by relation, advances consumed_
+  // past each fact it commits, and returns how many it committed.
   bool RunBaseline(const IndexedDatabase& idb, const EvalContext* ctx,
                    SubscriptionDelta* out);
-  size_t ApplyDelta(const std::vector<DeltaFact>& delta,
-                    const IndexedDatabase& idb, const EvalContext* ctx,
+  size_t ApplyDelta(const IndexedDatabase& idb, const EvalContext* ctx,
                     SubscriptionDelta* out);
   bool CaughtUpLocked() const;
 
@@ -351,7 +352,7 @@ class Subscription {
   const PlanDecision plan_;
   const std::shared_ptr<EvalCache> cache_;  ///< view source (serving cache)
   /// The database's write lock, shared with QueryService::Publish: held for
-  /// the whole tick so the fact vectors are stable while Poll reads them.
+  /// the whole tick so the relations are stable while Poll reads them.
   const std::shared_ptr<std::mutex> write_mu_;
 
   mutable std::mutex mu_;  ///< guards the maintained state below

@@ -43,7 +43,9 @@ std::vector<std::vector<Element>> VariableCandidates(
         }
       }
       if (values == nullptr) {
-        for (const Tuple& t : db.facts(atom.rel)) local.push_back(t[pos]);
+        const std::span<const Element> column =
+            db.facts(atom.rel).Column(static_cast<int>(pos));
+        local.assign(column.begin(), column.end());
         std::sort(local.begin(), local.end());
         local.erase(std::unique(local.begin(), local.end()), local.end());
         values = &local;

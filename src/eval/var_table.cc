@@ -30,20 +30,6 @@ std::vector<int> SharedVars(const std::vector<int>& a,
   return shared;
 }
 
-// Row-major flat keys of `rows` restricted to columns `pos` — the build
-// input of a KeyedRowGroups. Reads column-major, scatters row-major.
-std::vector<Element> FlatKeysOfColumns(const ColumnStore& rows,
-                                       const std::vector<int>& pos) {
-  const size_t n = rows.size();
-  const size_t k = pos.size();
-  std::vector<Element> keys(n * k);
-  for (size_t j = 0; j < k; ++j) {
-    const std::span<const Element> col = rows.Column(pos[j]);
-    for (size_t r = 0; r < n; ++r) keys[r * k + j] = col[r];
-  }
-  return keys;
-}
-
 }  // namespace
 
 VarTable AtomMatches(const Atom& atom, const Database& db) {
@@ -63,21 +49,7 @@ VarTable AtomMatches(const Atom& atom, const Database& db) {
   }();
   RowSet set(width);
   set.Reserve(db.facts(atom.rel).size());
-  std::vector<Element> row(width);
-  for (const Tuple& fact : db.facts(atom.rel)) {
-    // Repeated-variable consistency, then project to distinct vars.
-    std::fill(row.begin(), row.end(), -1);
-    bool ok = true;
-    for (size_t i = 0; i < fact.size(); ++i) {
-      const int slot = pos_of_var[i];
-      if (row[slot] >= 0 && row[slot] != fact[i]) {
-        ok = false;
-        break;
-      }
-      row[slot] = fact[i];
-    }
-    if (ok) set.Insert(row);
-  }
+  set.InsertProjected(db.facts(atom.rel), 0, pos_of_var);
   out.rows = set.Take();
   // Repeat-free atoms leave the table pristine: record where each variable
   // sits in the fact so semijoins can probe a relation index later.
@@ -97,7 +69,7 @@ VarTable IntersectSameVars(const VarTable& a, const VarTable& b) {
   std::vector<int> all_cols(width);
   for (int j = 0; j < width; ++j) all_cols[j] = j;
   const ColumnStore& brows = b.Rows();
-  const KeyedRowGroups in_b(FlatKeysOfColumns(brows, all_cols), width,
+  const KeyedRowGroups in_b(brows.FlatKeys(all_cols), width,
                             brows.size());
   VarTable out;
   out.vars = a.vars;
@@ -188,7 +160,7 @@ bool SemijoinInPlace(VarTable* a, const VarTable& b,
   // has a nonempty group.
   const std::vector<int> pos_b = PositionsOf(shared, b.vars);
   const ColumnStore& brows = b.Rows();
-  const KeyedRowGroups keys(FlatKeysOfColumns(brows, pos_b),
+  const KeyedRowGroups keys(brows.FlatKeys(pos_b),
                             static_cast<int>(shared.size()), brows.size());
   std::vector<Element> key(shared.size());
   std::vector<uint32_t> kept_ids;
@@ -212,7 +184,7 @@ VarTable JoinProject(const VarTable& a, const VarTable& b,
   const std::vector<int> pos_b = PositionsOf(shared, b.vars);
   // Group b by its shared-variable key (contiguous row-id ranges).
   const ColumnStore& brows = b.Rows();
-  const KeyedRowGroups index(FlatKeysOfColumns(brows, pos_b),
+  const KeyedRowGroups index(brows.FlatKeys(pos_b),
                              static_cast<int>(shared.size()), brows.size());
   // For composing output rows.
   const std::vector<int> a_in_all = PositionsOf(a.vars, all_vars);

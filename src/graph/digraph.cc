@@ -107,7 +107,10 @@ Digraph Digraph::FromDatabase(const Database& db) {
   CQA_CHECK(db.vocab()->num_relations() == 1);
   CQA_CHECK(db.vocab()->arity(0) == 2);
   Digraph g(db.num_elements());
-  for (const Tuple& t : db.facts(0)) g.AddEdge(t[0], t[1]);
+  const ColumnStore& edges = db.facts(0);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    g.AddEdge(edges.at(i, 0), edges.at(i, 1));
+  }
   return g;
 }
 

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/hash.h"
 #include "data/database.h"
 
 namespace cqa {

@@ -125,10 +125,12 @@ class Solver {
 
   void BuildConstraints() {
     for (RelationId r = 0; r < src_.vocab()->num_relations(); ++r) {
-      for (const Tuple& t : src_.facts(r)) {
+      const ColumnStore& facts = src_.facts(r);
+      for (size_t row = 0; row < facts.size(); ++row) {
         Constraint c;
         c.rel = r;
-        c.vars.assign(t.begin(), t.end());
+        c.vars.resize(facts.width());
+        facts.ReadRow(row, c.vars);
         const int idx = static_cast<int>(constraints_.size());
         for (const int v : c.vars) {
           auto& list = var_constraints_[v];
@@ -227,21 +229,22 @@ class Solver {
   // Generalized arc consistency for a single table constraint: recompute,
   // for every position, the set of supported values, and intersect.
   bool Revise(const Constraint& c) {
-    const auto& facts = dst_.facts(c.rel);
+    const ColumnStore& facts = dst_.facts(c.rel);
     const int arity = static_cast<int>(c.vars.size());
     scratch_.assign(static_cast<size_t>(arity) * words_, 0);
-    for (const Tuple& t : facts) {
+    for (size_t row = 0; row < facts.size(); ++row) {
       bool supported = true;
       for (int i = 0; i < arity; ++i) {
-        if (!Has(c.vars[i], t[i])) {
+        if (!Has(c.vars[i], facts.at(row, i))) {
           supported = false;
           break;
         }
       }
       if (!supported) continue;
       for (int i = 0; i < arity; ++i) {
-        scratch_[static_cast<size_t>(i) * words_ + t[i] / 64] |=
-            uint64_t{1} << (t[i] % 64);
+        const Element e = facts.at(row, i);
+        scratch_[static_cast<size_t>(i) * words_ + e / 64] |=
+            uint64_t{1} << (e % 64);
       }
     }
     for (int i = 0; i < arity; ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "base/check.h"
 
@@ -93,9 +94,7 @@ Digraph Hypergraph::PrimalGraph() const {
 Hypergraph HypergraphOfDatabase(const Database& db) {
   Hypergraph h(db.num_elements());
   for (RelationId r = 0; r < db.vocab()->num_relations(); ++r) {
-    for (const Tuple& t : db.facts(r)) {
-      h.AddEdge(std::vector<int>(t.begin(), t.end()));
-    }
+    for (Tuple t : db.facts(r)) h.AddEdge(std::move(t));
   }
   return h;
 }
